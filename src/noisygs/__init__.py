@@ -7,117 +7,27 @@ runs a backtracking line search whose acceptance test carries additive
 slack for the value noise. See the README for the CLI harness.
 """
 
-from .linesearch import (
-    FloorCutoff,
-    LineSearchOutcome,
-    LineSearchParams,
-    LipschitzCutoff,
-    backtrack,
-)
-from .minnorm import (
-    GradientBundle,
-    MinNormNonConvergence,
-    QPSolution,
-    solve_min_norm,
-)
-from .mldemo import (
-    BatchOracleConfig,
-    Dataset,
-    MlpParams,
-    accuracy,
-    adaptive_batch_eval,
-    bce_loss_oracle,
-    init_weights,
-    load_dataset_csv,
-    loss_and_grad,
-    save_dataset_csv,
-    synth_dataset,
-    weight_count,
-)
-from .oracle import (
-    NoiseBounds,
-    OracleHandle,
-    TruthAccess,
-    estimate_diam_caveat,
-    exact_oracle,
-    wrap_with_uniform_noise,
-)
-from .problems import (
-    Problem,
-    ProblemSpec,
-    abs_composite,
-    load_problem,
-    max_of_linear,
-    rosenbrock_ns,
-)
-from .sampler import SampleSet, iteration_stream, sample_ball
-from .solver import (
-    IterateRecord,
-    IterationEvent,
-    NoQualifyingStepsError,
-    RunResult,
-    RunStatus,
-    SolverParams,
-    estimate_lipschitz,
-    resolve_eps_ls,
-    resolve_m,
-    run,
-    terminal_bound_eps,
-    validate_params,
-)
-from .stationarity import StationarityEstimate, estimate_goldstein
+from .minnorm import GradientBundle, solve_min_norm
+from .oracle import NoiseBounds, OracleHandle, exact_oracle, wrap_with_uniform_noise
+from .problems import load_problem
+from .sampler import sample_ball
+from .solver import SolverParams, estimate_lipschitz, run, validate_params
+from .stationarity import estimate_goldstein
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchOracleConfig",
-    "Dataset",
-    "FloorCutoff",
     "GradientBundle",
-    "IterateRecord",
-    "IterationEvent",
-    "LineSearchOutcome",
-    "LineSearchParams",
-    "LipschitzCutoff",
-    "MinNormNonConvergence",
-    "MlpParams",
-    "NoQualifyingStepsError",
     "NoiseBounds",
     "OracleHandle",
-    "Problem",
-    "ProblemSpec",
-    "QPSolution",
-    "RunResult",
-    "RunStatus",
-    "SampleSet",
     "SolverParams",
-    "StationarityEstimate",
-    "TruthAccess",
-    "abs_composite",
-    "accuracy",
-    "adaptive_batch_eval",
-    "backtrack",
-    "bce_loss_oracle",
-    "estimate_diam_caveat",
     "estimate_goldstein",
     "estimate_lipschitz",
     "exact_oracle",
-    "init_weights",
-    "iteration_stream",
-    "load_dataset_csv",
     "load_problem",
-    "loss_and_grad",
-    "max_of_linear",
-    "rosenbrock_ns",
-    "resolve_eps_ls",
-    "resolve_m",
     "run",
     "sample_ball",
-    "save_dataset_csv",
     "solve_min_norm",
-    "synth_dataset",
-    "terminal_bound_eps",
     "validate_params",
-    "weight_count",
     "wrap_with_uniform_noise",
 ]

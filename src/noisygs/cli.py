@@ -20,9 +20,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 import yaml
@@ -34,7 +33,6 @@ from .mldemo import (
     bce_loss_oracle,
     init_weights,
     synth_dataset,
-    weight_count,
 )
 from .oracle import NoiseBounds
 from .problems import Problem, load_problem
@@ -44,7 +42,9 @@ from .solver import (
     RunResult,
     RunStatus,
     SolverParams,
+    certify,
     estimate_lipschitz,
+    radius_reduced,
     resolve_eps_ls,
     resolve_m,
     run,
@@ -74,26 +74,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything one solve needs: problem, noise, solver knobs, output."""
-
-    problem: str
-    bounds: NoiseBounds
-    noise_seed: int
-    solver: SolverParams
-    repeats: int
-    output_dir: Path
-
-    def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
-
-
-def _float(v) -> float:
-    return float(v)
 
 
 def _int(v) -> int:
@@ -136,41 +116,49 @@ def _float_list(v) -> list[float]:
     return [float(piece) for piece in str(v).split(",") if piece.strip()]
 
 
-def _str(v) -> str:
-    return str(v)
-
-
 def _opt_str(v) -> Optional[str]:
     return None if v is None else str(v)
 
 
+# The SolverParams fields the CLI exposes, in flag order, with their help
+# text. Defaults and converters come from SolverParams itself; the flags, the
+# SolverParams call and the run.json params block are all built from here.
+SOLVER_FLAGS = {
+    "budget": "iteration cap",
+    "eps_min": "radius floor that ends a run",
+    "m": "sample points per iteration",
+    "theta": "radius shrink factor",
+    "gamma": "backtracking factor",
+    "eta": "sufficient decrease coefficient",
+    "nu": "stationarity test factor",
+    "eps1": "initial sampling radius",
+    "lipschitz": "Lipschitz bound for the step cutoff",
+    "strict_requires": "refuse to run when admissibility conditions fail",
+    "f_low": "divergence floor",
+}
+
+_DEFAULTS = SolverParams()
+_CONVERTERS = {int: _int, float: float, bool: _bool,
+               Optional[int]: _opt_int, Optional[float]: _opt_float}
+_FIELD_TYPES = get_type_hints(SolverParams)
+
 _SOLVER_KEYS = {
-    "seed": (0, _int),
+    "seed": (_DEFAULTS.master_seed, _int),
     "noise_seed": (0, _int),
-    "budget": (10_000, _int),
-    "eps_min": (1e-6, _float),
-    "m": (None, _opt_int),
-    "theta": (0.1, _float),
-    "gamma": (0.5, _float),
-    "eta": (1e-10, _float),
-    "nu": (1.0, _float),
-    "eps1": (10.0, _float),
-    "lipschitz": (None, _opt_float),
-    "strict_requires": (False, _bool),
-    "f_low": (-1e12, _float),
+    **{key: (getattr(_DEFAULTS, key), _CONVERTERS[_FIELD_TYPES[key]]) for key in SOLVER_FLAGS},
     "out": (None, _opt_str),
 }
 
 RUN_SCHEMA = {
-    "problem": ("rosenbrock", _str),
-    "eps_f": (0.0, _float),
+    "problem": ("rosenbrock", str),
+    "eps_f": (0.0, float),
     "eps_g": ("auto", _float_or_auto),
     "eps_ls": ("auto", _float_or_auto),
     **_SOLVER_KEYS,
 }
 
 SWEEP_SCHEMA = {
-    "problem": ("rosenbrock", _str),
+    "problem": ("rosenbrock", str),
     "eps_f_levels": ([1e-1, 1e-2, 1e-3, 1e-4], _float_list),
     "repeats": (10, _int),
     **{k: v for k, v in _SOLVER_KEYS.items() if k != "budget"},
@@ -178,13 +166,13 @@ SWEEP_SCHEMA = {
 }
 
 TRAIN_SCHEMA = {
-    "mode": ("fixed", _str),
+    "mode": ("fixed", str),
     "batch": (128, _int),
-    "eps_f": (0.05, _float),
+    "eps_f": (0.05, float),
     "eps_ls_grid": ([1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0], _float_list),
     "num_points": (1024, _int),
     "num_features": (13, _int),
-    "separation": (4.0, _float),
+    "separation": (4.0, float),
     "data_seed": (5, _int),
     "hidden": (10, _int),
     **{k: v for k, v in _SOLVER_KEYS.items() if k not in ("budget", "m")},
@@ -269,57 +257,34 @@ def _write_json(path: Path, payload) -> None:
     _write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _solver_params_from(opts: dict, eps_ls, bounds: NoiseBounds,
-                        master_seed: int) -> SolverParams:
-    return SolverParams(
-        bounds=bounds,
-        m=opts["m"],
-        theta=opts["theta"],
-        gamma=opts["gamma"],
-        eta=opts["eta"],
-        nu=opts["nu"],
-        eps1=opts["eps1"],
-        eps_ls=eps_ls,
-        lipschitz=opts["lipschitz"],
-        eps_min=opts["eps_min"],
-        budget=opts["budget"],
-        f_low=opts["f_low"],
-        master_seed=master_seed,
-        strict_requires=opts["strict_requires"],
-    )
+def _solver_params(opts: dict, eps_ls, bounds: NoiseBounds, master_seed: int) -> SolverParams:
+    return SolverParams(bounds=bounds, eps_ls=eps_ls, master_seed=master_seed,
+                        **{key: opts[key] for key in SOLVER_FLAGS})
 
 
-def _run_payload(problem: Problem, config: ExperimentConfig, result: RunResult) -> dict:
-    p = config.solver
-    bound = result.theorem_bound
+def _run_payload(problem_name: str, dims: int, params: SolverParams, noise_seed: int,
+                 result: RunResult) -> dict:
+    cert = result.certificate
     return {
-        "problem": config.problem,
-        "dims": problem.spec.dims,
+        "problem": problem_name,
+        "dims": dims,
         "status": result.status.value,
         "final_x": [float(v) for v in result.final_x],
-        "theorem_bound": float(bound) if math.isfinite(bound) else None,
-        "theorem_bound_met": bool(result.theorem_bound_met),
+        "theorem_bound": cert.bound if math.isfinite(cert.bound) else None,
+        "theorem_bound_met": cert.witness is not None,
+        "theorem_bound_vacuous": cert.vacuous,
         "f_evals": int(result.f_evals),
         "g_evals": int(result.g_evals),
         "warnings": list(result.warnings),
         "params": {
-            "eps_f": p.bounds.eps_f,
-            "eps_g": p.bounds.eps_g,
-            "eps_ls": resolve_eps_ls(p.eps_ls, p.bounds.eps_f),
-            "m": resolve_m(p.m, problem.spec.dims),
-            "theta": p.theta,
-            "gamma": p.gamma,
-            "eta": p.eta,
-            "nu": p.nu,
-            "eps1": p.eps1,
-            "lipschitz": p.lipschitz,
-            "alpha_min": p.alpha_min,
-            "eps_min": p.eps_min,
-            "budget": p.budget,
-            "f_low": p.f_low,
-            "seed": p.master_seed,
-            "noise_seed": config.noise_seed,
-            "strict_requires": p.strict_requires,
+            **{key: getattr(params, key) for key in SOLVER_FLAGS},
+            "eps_f": params.bounds.eps_f,
+            "eps_g": params.bounds.eps_g,
+            "eps_ls": resolve_eps_ls(params.eps_ls, params.bounds.eps_f),
+            "m": resolve_m(params.m, dims),
+            "alpha_min": params.alpha_min,
+            "seed": params.master_seed,
+            "noise_seed": noise_seed,
         },
     }
 
@@ -330,10 +295,10 @@ def _history_rows(result: RunResult):
                rec.f_tilde, rec.f_true]
 
 
-def _run_and_write(problem: Problem, config: ExperimentConfig) -> RunResult:
-    noisy = problem.make_noisy(config.bounds, config.noise_seed)
-    result = run(noisy, problem.spec.default_start, config.solver)
-    out = config.output_dir
+def _run_and_write(problem_name: str, problem: Problem, params: SolverParams,
+                   noise_seed: int, out: Path) -> RunResult:
+    noisy = problem.make_noisy(params.bounds, noise_seed)
+    result = run(noisy, problem.spec.default_start, params)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "history.csv", HISTORY_HEADER, _history_rows(result))
     n = problem.spec.dims
@@ -341,7 +306,7 @@ def _run_and_write(problem: Problem, config: ExperimentConfig) -> RunResult:
         header = ["k"] + [f"x{i + 1}" for i in range(n)]
         rows = ([rec.k] + [float(v) for v in rec.x] for rec in result.history)
         _write_csv(out / "trajectory.csv", header, rows)
-    _write_json(out / "run.json", _run_payload(problem, config, result))
+    _write_json(out / "run.json", _run_payload(problem_name, n, params, noise_seed, result))
     return result
 
 
@@ -358,11 +323,9 @@ def cmd_run(ns: argparse.Namespace, parser: _Parser) -> int:
         NoiseBounds(eps_f=eps_f)  # reject a bad eps_f before it reaches sqrt
         eps_g = math.sqrt(eps_f) if opts["eps_g"] == "auto" else opts["eps_g"]
         bounds = NoiseBounds(eps_f=eps_f, eps_g=eps_g)
-        params = _solver_params_from(opts, eps_ls, bounds, opts["seed"])
-        config = ExperimentConfig(problem=opts["problem"], bounds=bounds,
-                                  noise_seed=opts["noise_seed"], solver=params,
-                                  repeats=1, output_dir=_resolve_out(opts["out"]))
-        result = _run_and_write(problem, config)
+        params = _solver_params(opts, eps_ls, bounds, opts["seed"])
+        out = _resolve_out(opts["out"])
+        result = _run_and_write(opts["problem"], problem, params, opts["noise_seed"], out)
     except ValueError as exc:
         parser.error(str(exc))
     print(f"status: {result.status.value}")
@@ -370,10 +333,10 @@ def cmd_run(ns: argparse.Namespace, parser: _Parser) -> int:
     truth = problem.oracle.truth_access
     if truth is not None:
         print(f"final f_true: {_fmt_cell(float(truth.f(result.final_x)))}")
-    print(f"wrote: {config.output_dir / 'history.csv'}")
+    print(f"wrote: {out / 'history.csv'}")
     if problem.spec.dims <= 3:
-        print(f"wrote: {config.output_dir / 'trajectory.csv'}")
-    print(f"wrote: {config.output_dir / 'run.json'}")
+        print(f"wrote: {out / 'trajectory.csv'}")
+    print(f"wrote: {out / 'run.json'}")
     return _STATUS_EXIT[result.status]
 
 
@@ -400,11 +363,8 @@ def cmd_sweep(ns: argparse.Namespace, parser: _Parser) -> int:
             cell_dir = runs_dir / f"eps_f_{repr(float(level))}_seed_{master_seed}"
             try:
                 bounds = NoiseBounds(eps_f=level, eps_g=math.sqrt(level))
-                params = _solver_params_from(opts, 2.1 * level, bounds, master_seed)
-                config = ExperimentConfig(problem=opts["problem"], bounds=bounds,
-                                          noise_seed=noise_seed, solver=params,
-                                          repeats=1, output_dir=cell_dir)
-                result = _run_and_write(problem, config)
+                params = _solver_params(opts, 2.1 * level, bounds, master_seed)
+                result = _run_and_write(opts["problem"], problem, params, noise_seed, cell_dir)
                 final_f = float(truth.f(result.final_x)) if truth is not None else None
                 rows.append([float(level), master_seed, final_f,
                              len(result.history), result.f_evals, result.status.value])
@@ -441,7 +401,7 @@ def _parse_history(path: Path, nu: float, eps_g: float) -> list[IterateRecord]:
             records.append(IterateRecord(
                 k=k, eps_k=eps_k, norm_g_tilde=norm_g, alpha=alpha,
                 backtracks=backtracks, f_tilde=f_tilde, f_true=f_true,
-                radius_reduced=norm_g <= max(nu * eps_k, 5.0 * eps_g), x=None))
+                radius_reduced=radius_reduced(norm_g, eps_k, nu, eps_g), x=None))
     return records
 
 
@@ -449,6 +409,8 @@ _REQUIRED_PARAM_KEYS = ("eps_f", "eps_g", "eps_ls", "theta", "gamma", "eta", "nu
 
 
 def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
+    if not (ns.min_step > 0.0):
+        parser.error("--min-step must be positive")
     run_dir = Path(ns.run_dir)
     meta_path = run_dir / "run.json"
     hist_path = run_dir / "history.csv"
@@ -461,40 +423,38 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
     if not isinstance(params, dict) or any(key not in params for key in _REQUIRED_PARAM_KEYS):
         return _fail_run_dir(f"{meta_path} lacks the run parameters")
     try:
-        eps_g = float(params["eps_g"])
+        lipschitz = params.get("lipschitz")
+        run_params = SolverParams(
+            bounds=NoiseBounds(eps_f=float(params["eps_f"]), eps_g=float(params["eps_g"])),
+            theta=float(params["theta"]), gamma=float(params["gamma"]),
+            eta=float(params["eta"]), nu=float(params["nu"]),
+            eps1=float(params.get("eps1", _DEFAULTS.eps1)),
+            lipschitz=float(lipschitz) if lipschitz is not None else None,
+            lipschitz_min_step=ns.min_step)
+        eps_g = run_params.bounds.eps_g
         eps_ls = float(params["eps_ls"])
-        theta = float(params["theta"])
-        gamma = float(params["gamma"])
-        eta = float(params["eta"])
-        nu = float(params["nu"])
-        stored_lipschitz = params.get("lipschitz")
-        records = _parse_history(hist_path, nu, eps_g)
+        records = _parse_history(hist_path, run_params.nu, eps_g)
     except (OSError, ValueError, TypeError) as exc:
         return _fail_run_dir(f"cannot parse {hist_path}: {exc}")
     print(f"status: {meta.get('status', 'unknown')}")
     print(f"iterations: {len(records)}")
     try:
-        estimated = estimate_lipschitz(records, ns.min_step)
-        print(f"estimated lipschitz: {_fmt_cell(estimated)}")
+        print(f"estimated lipschitz: {_fmt_cell(estimate_lipschitz(records, ns.min_step))}")
     except NoQualifyingStepsError:
-        estimated = None
         print("estimated lipschitz: unavailable (no qualifying steps)")
-    lipschitz = float(stored_lipschitz) if stored_lipschitz is not None else estimated
-    if lipschitz is None or min(eta, gamma, nu, theta) <= 0.0:
-        print("terminal bound: unavailable")
-        print("terminal bound not witnessed")
+    cert = certify(records, run_params, eps_ls)
+    if math.isfinite(cert.bound):
+        print(f"terminal radius level: {_fmt_cell(cert.level)}")
+        print(f"terminal bound: {_fmt_cell(cert.bound)}")
     else:
-        cube = 6.0 * eps_ls * (lipschitz + eps_g) / (eta * gamma * nu ** 2)
-        level = max(cube ** (1.0 / 3.0), 5.0 * eps_g)
-        scale = nu / theta
-        print(f"terminal radius level: {_fmt_cell(level)}")
-        print(f"terminal bound: {_fmt_cell(scale * level)}")
-        hit = next((rec for rec in records
-                    if rec.eps_k <= level and rec.norm_g_tilde <= scale * rec.eps_k), None)
-        if hit is not None:
-            print(f"terminal bound met at k={hit.k}")
-        else:
-            print("terminal bound not witnessed")
+        print("terminal bound: unavailable")
+    if cert.witness is not None:
+        print(f"terminal bound met at k={cert.witness}")
+    else:
+        print("terminal bound not witnessed")
+    if cert.vacuous:
+        print(f"terminal bound vacuous: radius level {_fmt_cell(cert.level)} "
+              f">= eps1 = {_fmt_cell(run_params.eps1)}")
     if ns.goldstein is not None:
         problem_name = meta.get("problem")
         final_x = meta.get("final_x")
@@ -506,7 +466,7 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
             return _fail_run_dir(f"cannot rebuild problem {problem_name!r}: {exc}")
         eps = ns.goldstein_eps
         if eps is None:
-            eps = records[-1].eps_k if records else float(params.get("eps1", 1.0))
+            eps = records[-1].eps_k if records else run_params.eps1
         try:
             estimate = estimate_goldstein(problem.oracle, np.asarray(final_x, dtype=float),
                                           eps, ns.goldstein,
@@ -564,7 +524,7 @@ def cmd_train(ns: argparse.Namespace, parser: _Parser) -> int:
                                               eps_f=opts["eps_f"],
                                               resample_seed=opts["noise_seed"])
             oracle = bce_loss_oracle(data, oracle_config, hidden)
-            params = _solver_params_from(opts, eps_ls, bounds, opts["seed"])
+            params = _solver_params(opts, eps_ls, bounds, opts["seed"])
         except ValueError as exc:
             parser.error(str(exc))
         truth = oracle.truth_access
@@ -669,18 +629,12 @@ def build_parser() -> _Parser:
     for sub in (run_p, sweep_p, train_p):
         sub.add_argument("--seed", default=sup, help="solver master seed")
         sub.add_argument("--noise-seed", default=sup, help="oracle noise seed")
-        sub.add_argument("--budget", default=sup, help="iteration cap")
-        sub.add_argument("--eps-min", default=sup, help="radius floor that ends a run")
-        sub.add_argument("--m", default=sup, help="sample points per iteration")
-        sub.add_argument("--theta", default=sup, help="radius shrink factor")
-        sub.add_argument("--gamma", default=sup, help="backtracking factor")
-        sub.add_argument("--eta", default=sup, help="sufficient decrease coefficient")
-        sub.add_argument("--nu", default=sup, help="stationarity test factor")
-        sub.add_argument("--eps1", default=sup, help="initial sampling radius")
-        sub.add_argument("--lipschitz", default=sup, help="Lipschitz bound for the step cutoff")
-        sub.add_argument("--strict-requires", action="store_true", default=sup,
-                         help="refuse to run when admissibility conditions fail")
-        sub.add_argument("--f-low", default=sup, help="divergence floor")
+        for key, text in SOLVER_FLAGS.items():
+            flag = "--" + key.replace("_", "-")
+            if _SOLVER_KEYS[key][1] is _bool:
+                sub.add_argument(flag, action="store_true", default=sup, help=text)
+            else:
+                sub.add_argument(flag, default=sup, help=text)
         sub.add_argument("--out", default=sup, help="output directory")
     return parser
 

@@ -76,16 +76,12 @@ class QPSolution:
 
     weights: simplex weights over every column, zeros off the final corral.
     aggregate: the min-norm convex combination the certificate was checked
-        on; agrees with columns @ weights up to roundoff.
-    direction: -aggregate.
-    primal_value: -|aggregate|^2, the optimal value of the paired
-        direction-finding problem.
+        on; agrees with columns @ weights up to roundoff. The search
+        direction is its negation.
     """
 
     weights: np.ndarray
     aggregate: np.ndarray
-    direction: np.ndarray
-    primal_value: float
 
 
 def _affine_solve(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +183,4 @@ def solve_min_norm(bundle: GradientBundle, tol: float = DEFAULT_TOL) -> QPSoluti
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     weights, aggregate = _min_norm_weights(bundle.columns, tol)
-    return QPSolution(
-        weights=weights,
-        aggregate=aggregate,
-        direction=-aggregate,
-        primal_value=-float(aggregate @ aggregate),
-    )
+    return QPSolution(weights=weights, aggregate=aggregate)

@@ -89,17 +89,19 @@ def _canonical_bytes(x) -> bytes:
     return arr.astype("<f8").tobytes()
 
 
-def _keyed_rng(seed: int, tag: bytes, x) -> np.random.Generator:
+def _key_digest(seed: int, tag: bytes, x, size: int) -> bytes:
     msg = _canonical_bytes(x) + b"|" + tag + b"|" + str(int(seed)).encode()
-    digest = hashlib.blake2b(msg, digest_size=32).digest()
-    words = np.frombuffer(digest, dtype=np.uint32)
+    return hashlib.blake2b(msg, digest_size=size).digest()
+
+
+def _keyed_rng(seed: int, tag: bytes, x) -> np.random.Generator:
+    words = np.frombuffer(_key_digest(seed, tag, x, 32), dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words.tolist())))
 
 
 def keyed_seed(seed: int, x, tag: bytes = b"") -> int:
     """Derive a point-keyed integer seed. Stable across processes."""
-    msg = _canonical_bytes(x) + b"|" + tag + b"|" + str(int(seed)).encode()
-    return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "little")
+    return int.from_bytes(_key_digest(seed, tag, x, 8), "little")
 
 
 def keyed_uniform(seed: int, x, half_width: float, tag: bytes = b"f") -> float:
@@ -196,7 +198,7 @@ def estimate_diam_caveat(exact: OracleHandle, x, eps: float, num_samples: int,
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=float)
-    points = sample_ball(x, eps, num_samples, rng_seed, 0).points
+    points = sample_ball(x, eps, num_samples, rng_seed, 0)
     grads = np.empty((num_samples, x.size))
     for i, p in enumerate(points):
         grads[i] = np.asarray(exact.truth_access.g(p), dtype=float)

@@ -202,7 +202,8 @@ def load_problem(name: str) -> Problem:
         return Problem(
             oracle=oracle,
             spec=spec,
-            make_noisy=lambda bounds, seed, _o=oracle: wrap_with_uniform_noise(_o, bounds, seed),
+            make_noisy=lambda bounds, noise_seed, _o=oracle: wrap_with_uniform_noise(
+                _o, bounds, noise_seed),
         )
     if name == "abs_composite":
         oracle = abs_composite(_identity, _one, noise_bound=0.0)
@@ -216,8 +217,8 @@ def load_problem(name: str) -> Problem:
         return Problem(
             oracle=oracle,
             spec=spec,
-            make_noisy=lambda bounds, seed: abs_composite(
-                _identity, _one, noise_bound=bounds.eps_f, noise_seed=seed),
+            make_noisy=lambda bounds, noise_seed: abs_composite(
+                _identity, _one, noise_bound=bounds.eps_f, noise_seed=noise_seed),
         )
     if name.startswith("max_linear:"):
         path = name.split(":", 1)[1]
@@ -230,7 +231,8 @@ def load_problem(name: str) -> Problem:
         return Problem(
             oracle=oracle,
             spec=spec,
-            make_noisy=lambda bounds, seed, _o=oracle: wrap_with_uniform_noise(_o, bounds, seed),
+            make_noisy=lambda bounds, noise_seed, _o=oracle: wrap_with_uniform_noise(
+                _o, bounds, noise_seed),
         )
     raise ValueError(
         f"unknown problem {name!r}; expected rosenbrock, abs_composite, or max_linear:<file>"

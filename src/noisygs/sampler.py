@@ -8,24 +8,7 @@ shared generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """One batch of ball samples.
-
-    points: (count, n) array, one sample per row.
-    center, radius: the closed ball the points were drawn from.
-    stream_id: substream identifier the batch came from.
-    """
-
-    points: np.ndarray
-    center: np.ndarray
-    radius: float
-    stream_id: int
 
 
 def iteration_stream(master_seed: int, stream_id: int) -> np.random.Generator:
@@ -80,13 +63,11 @@ def ball_points(rng: np.random.Generator, center, radius: float, count: int) -> 
     return points
 
 
-def sample_ball(center, radius: float, count: int, master_seed: int, stream_id: int) -> SampleSet:
+def sample_ball(center, radius: float, count: int, master_seed: int, stream_id: int) -> np.ndarray:
     """Draw one batch from B(center, radius) on the given substream.
 
-    The same (center, radius, count, master_seed, stream_id) always
-    reproduces the same points bit for bit.
+    Returns a (count, n) array, one point per row. The same (center, radius,
+    count, master_seed, stream_id) always reproduces the same points bit for
+    bit.
     """
-    rng = iteration_stream(master_seed, stream_id)
-    center = np.asarray(center, dtype=float)
-    points = ball_points(rng, center, radius, count)
-    return SampleSet(points=points, center=center.copy(), radius=float(radius), stream_id=int(stream_id))
+    return ball_points(iteration_stream(master_seed, stream_id), center, radius, count)

@@ -140,10 +140,7 @@ def validate_params(params: SolverParams, dims: int) -> list[str]:
         if not (L > 2.0 * eps_g):
             out.append(f"lipschitz = {L} must exceed twice eps_g = {eps_g}")
         if params.eta > 0.0 and params.gamma > 0.0 and params.nu > 0.0 and L + eps_g > 0.0:
-            lo = max(
-                (6.0 * eps_ls * (L + eps_g) / (params.eta * params.gamma * params.nu ** 2)) ** (1.0 / 3.0),
-                5.0 * eps_g,
-            )
+            lo = terminal_bound_eps(params, eps_ls, L)
             hi = 3.0 * (L + eps_g)
             if not (lo < params.eps1 < hi):
                 out.append(f"eps1 = {params.eps1} lies outside the admissible interval ({lo}, {hi})")
@@ -191,12 +188,30 @@ class IterationEvent:
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """Terminal-bound check of a finished run.
+
+    level: radius level below which the terminal aggregate-norm bound
+        applies; inf when no Lipschitz constant is known or estimable.
+    bound: the aggregate-norm bound (nu / theta) * level.
+    witness: first k of a radius-reduced row with eps_k <= level and
+        norm_g_tilde <= (nu / theta) * eps_k, or None.
+    vacuous: level >= eps1. Every row has eps_k <= eps1, so the level
+        condition then rules nothing out.
+    """
+
+    level: float
+    bound: float
+    witness: Optional[int]
+    vacuous: bool
+
+
+@dataclass(frozen=True)
 class RunResult:
     status: RunStatus
     final_x: np.ndarray
     history: tuple[IterateRecord, ...]
-    theorem_bound: float
-    theorem_bound_met: bool
+    certificate: Certificate
     f_evals: int
     g_evals: int
     warnings: tuple[str, ...] = field(default_factory=tuple)
@@ -235,8 +250,19 @@ def terminal_bound_eps(params: SolverParams, eps_ls: float, lipschitz: float) ->
     return max(cube ** (1.0 / 3.0), 5.0 * eps_g)
 
 
-def _theorem_check(history: Sequence[IterateRecord], params: SolverParams,
-                   eps_ls: float) -> tuple[float, bool]:
+def radius_reduced(norm_g: float, eps_k: float, nu: float, eps_g: float) -> bool:
+    """Whether an iteration with aggregate norm norm_g at radius eps_k shrinks
+    the radius instead of line searching."""
+    return norm_g <= max(nu * eps_k, 5.0 * eps_g)
+
+
+def certify(history: Sequence[IterateRecord], params: SolverParams,
+            eps_ls: float) -> Certificate:
+    """Check a run's history against the terminal bound.
+
+    Uses params.lipschitz when given, else estimate_lipschitz over the
+    history with params.lipschitz_min_step.
+    """
     lipschitz = params.lipschitz
     if lipschitz is None:
         try:
@@ -244,17 +270,16 @@ def _theorem_check(history: Sequence[IterateRecord], params: SolverParams,
         except NoQualifyingStepsError:
             lipschitz = None
     if lipschitz is None or not (params.eta > 0.0 and params.gamma > 0.0 and params.nu > 0.0):
-        bound_eps = math.inf
+        level = math.inf
     else:
-        bound_eps = terminal_bound_eps(params, eps_ls, lipschitz)
+        level = terminal_bound_eps(params, eps_ls, lipschitz)
     scale = params.nu / params.theta if params.theta > 0.0 else math.inf
-    met = any(
-        rec.radius_reduced
-        and rec.eps_k <= bound_eps
-        and rec.norm_g_tilde <= scale * rec.eps_k
-        for rec in history
-    )
-    return float(scale * bound_eps), met
+    witness = next((rec.k for rec in history
+                    if rec.radius_reduced
+                    and rec.eps_k <= level
+                    and rec.norm_g_tilde <= scale * rec.eps_k), None)
+    return Certificate(level=float(level), bound=float(scale * level), witness=witness,
+                       vacuous=level >= params.eps1)
 
 
 def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
@@ -310,7 +335,7 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
         if f_x < params.f_low:
             status = RunStatus.OBJECTIVE_DIVERGING
             break
-        points = sample_ball(x, eps, m, params.master_seed, k).points
+        points = sample_ball(x, eps, m, params.master_seed, k)
         columns = np.empty((n, m + 1))
         columns[:, 0] = np.asarray(oracle.eval_g(x), dtype=float)
         for i in range(m):
@@ -323,20 +348,21 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
             status = RunStatus.QP_FAILURE
             break
         gnorm = float(np.linalg.norm(sol.aggregate))
-        reduced = gnorm <= max(params.nu * eps, 5.0 * eps_g)
+        reduced = radius_reduced(gnorm, eps, params.nu, eps_g)
         if reduced:
             alpha = 0.0
             backtracks = 0
             eps_next = params.theta * eps
             x_next, f_next = x, f_x
         else:
-            outcome = backtrack(oracle, x, sol.direction, f_x, ls_params, eps)
+            direction = -sol.aggregate
+            outcome = backtrack(oracle, x, direction, f_x, ls_params, eps)
             alpha = outcome.alpha
             backtracks = outcome.trial_count
             f_evals += outcome.trial_count
             eps_next = eps
             if alpha > 0.0:
-                x_next = x + alpha * sol.direction
+                x_next = x + alpha * direction
                 f_next = float(outcome.accepted_f)
             else:
                 x_next, f_next = x, f_x
@@ -354,7 +380,6 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
             status = RunStatus.STATIONARY
             break
 
-    bound, met = _theorem_check(history, params, eps_ls)
     return RunResult(status=status, final_x=x, history=tuple(history),
-                     theorem_bound=bound, theorem_bound_met=met,
+                     certificate=certify(history, params, eps_ls),
                      f_evals=f_evals, g_evals=g_evals, warnings=tuple(recorded))

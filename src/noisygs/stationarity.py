@@ -47,7 +47,7 @@ def estimate_goldstein(oracle: OracleHandle, x, eps: float, num_samples: int,
     if num_samples < n + 1:
         raise ValueError(f"num_samples must be at least dims + 1 = {n + 1}")
 
-    pts = sample_ball(x, eps, num_samples, master_seed, stream_id).points
+    pts = sample_ball(x, eps, num_samples, master_seed, stream_id)
     columns = np.empty((n, num_samples + 1))
     columns[:, 0] = np.asarray(oracle.truth_access.g(x), dtype=float)
     for i in range(num_samples):

@@ -276,6 +276,95 @@ class TestVerify:
         assert call("verify", broken) == 65
 
 
+def run_capturing(monkeypatch, *argv):
+    """Run the CLI and return the RunResult its `run` subcommand computed."""
+    captured = []
+    real_run = cli.run
+
+    def capture(*args, **kwargs):
+        captured.append(real_run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "run", capture)
+    assert call("run", *argv) == 0
+    return captured[0]
+
+
+def verify_lines(capsys, run_dir, *extra):
+    capsys.readouterr()
+    assert call("verify", run_dir, *extra) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+class TestCertificate:
+    """verify and the solver reach their verdict through the same check."""
+
+    def test_rows_that_do_not_reduce_the_radius_witness_nothing(self, tmp_path, capsys):
+        # Every row passes |g| <= (nu/theta) eps_k below the level, but none
+        # shrank the radius (|g| = 50 > nu * eps_k = 10), so none is a witness.
+        (tmp_path / "history.csv").write_text(
+            "k,eps_k,norm_g_tilde,alpha,backtracks,f_tilde,f_true\n"
+            + "".join(f"{k},10.0,50.0,0.5,1,{60.0 - 10.0 * k},\n" for k in range(1, 6)))
+        (tmp_path / "run.json").write_text(json.dumps({
+            "status": "BudgetExhausted",
+            "params": {"eps_f": 1e-4, "eps_g": 1e-2, "eps_ls": 2.1e-4, "theta": 0.1,
+                       "gamma": 0.5, "eta": 1e-10, "nu": 1.0, "seed": 0}}))
+        lines = verify_lines(capsys, tmp_path)
+        bound = float(next(line for line in lines if line.startswith("terminal bound: "))[16:])
+        assert bound == pytest.approx(2178.0, rel=1e-3)
+        assert "terminal bound not witnessed" in lines
+        assert not any(line.startswith("terminal bound met") for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ("--eps-f", "1e-4", "--seed", "0", "--budget", "400"),
+        ("--eps-f", "1e-2", "--eta", "0.1", "--seed", "0", "--budget", "400"),
+        ("--eps-f", "1e-2", "--lipschitz", "5", "--seed", "3", "--budget", "300"),
+        ("--problem", "abs_composite", "--eps-f", "1e-3", "--seed", "1", "--budget", "300"),
+    ])
+    def test_verify_agrees_with_run_json(self, argv, tmp_path, capsys, monkeypatch):
+        result = run_capturing(monkeypatch, *argv, "--out", tmp_path)
+        meta = read_json(tmp_path / "run.json")
+        cert = result.certificate
+        assert meta["theorem_bound_met"] == (cert.witness is not None)
+        assert meta["theorem_bound_vacuous"] == cert.vacuous
+        lines = verify_lines(capsys, tmp_path)
+        assert f"terminal bound: {cert.bound!r}" in lines
+        verdict = (f"terminal bound met at k={cert.witness}" if cert.witness is not None
+                   else "terminal bound not witnessed")
+        assert verdict in lines
+        if cert.witness is not None:
+            assert result.history[cert.witness - 1].radius_reduced
+
+    def test_default_eta_makes_the_certificate_vacuous(self, tmp_path, capsys):
+        call("run", "--eps-f", "1e-4", "--seed", "0", "--budget", "400", "--out", tmp_path)
+        meta = read_json(tmp_path / "run.json")
+        assert meta["theorem_bound_met"] is True
+        assert meta["theorem_bound_vacuous"] is True
+        lines = verify_lines(capsys, tmp_path)
+        vacuous = [line for line in lines if line.startswith("terminal bound vacuous: ")]
+        assert len(vacuous) == 1
+        level = float(vacuous[0].split("radius level ")[1].split(" >=")[0])
+        assert level == pytest.approx(2042.0, rel=1e-3)
+        assert vacuous[0].endswith(">= eps1 = 10.0")
+        assert any(line.startswith("terminal bound met at k=") for line in lines)
+
+    def test_large_eta_gives_a_real_certificate(self, tmp_path, capsys):
+        call("run", "--eps-f", "1e-2", "--eta", "0.1", "--seed", "0", "--noise-seed", "0",
+             "--budget", "400", "--out", tmp_path)
+        meta = read_json(tmp_path / "run.json")
+        assert meta["theorem_bound_met"] is True
+        assert meta["theorem_bound_vacuous"] is False
+        lines = verify_lines(capsys, tmp_path)
+        prefix = "terminal radius level: "
+        level = float(next(line for line in lines if line.startswith(prefix))[len(prefix):])
+        assert level == pytest.approx(9.48, rel=1e-3)
+        assert "terminal bound met at k=2" in lines
+        assert not any(line.startswith("terminal bound vacuous") for line in lines)
+
+    def test_nonpositive_min_step_is_a_usage_error(self, stationary_dir):
+        assert call("verify", stationary_dir, "--min-step", "0") == 64
+
+
 class TestSweep:
     def sweep_config(self, tmp_path, out_dir, extra=""):
         cfg = tmp_path / "sweep.yaml"

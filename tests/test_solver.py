@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from noisygs.minnorm import MinNormNonConvergence
+from noisygs.minnorm import GradientBundle, MinNormNonConvergence, solve_min_norm
 from noisygs.oracle import NoiseBounds, OracleHandle, exact_oracle
 from noisygs.problems import load_problem, max_of_linear
+from noisygs.sampler import sample_ball
 from noisygs.solver import (
     IterateRecord,
     NoQualifyingStepsError,
     RunStatus,
     SolverParams,
+    certify,
     estimate_lipschitz,
+    radius_reduced,
     resolve_eps_ls,
     resolve_m,
     run,
@@ -97,8 +100,10 @@ class TestRunOnAbsoluteValue:
     def test_theorem_bound_value_and_witness(self):
         # nu/theta times the terminal radius level for L = 1, eps_ls = 1e-12.
         expected = 10.0 * (6.0 * 1e-12 * 1.0 / (1e-10 * 0.5)) ** (1.0 / 3.0)
-        assert self.result.theorem_bound == pytest.approx(expected, rel=1e-12)
-        assert self.result.theorem_bound_met
+        cert = self.result.certificate
+        assert cert.bound == pytest.approx(expected, rel=1e-12)
+        assert cert.witness is not None
+        assert not cert.vacuous
 
     def test_no_warnings_for_an_admissible_setup(self):
         assert self.result.warnings == ()
@@ -110,8 +115,8 @@ class TestTerminationStatuses:
         assert res.status is RunStatus.BUDGET_EXHAUSTED
         assert res.history == ()
         assert np.array_equal(res.final_x, [4.0])
-        assert math.isinf(res.theorem_bound)
-        assert not res.theorem_bound_met
+        assert math.isinf(res.certificate.bound)
+        assert res.certificate.witness is None
         assert res.f_evals == 1
         assert res.g_evals == 0
 
@@ -363,6 +368,82 @@ class TestTerminalBound:
                               gamma=0.5, nu=1.0)
         got = terminal_bound_eps(params, eps_ls=1e-15, lipschitz=1.0)
         assert got == 1.5
+
+
+class TestRadiusReduced:
+    def test_scaled_radius_test(self):
+        assert radius_reduced(2.0, 2.0, 1.0, 0.0)
+        assert not radius_reduced(2.0 + 1e-12, 2.0, 1.0, 0.0)
+        assert radius_reduced(3.0, 2.0, 1.5, 0.0)
+
+    def test_gradient_noise_floor(self):
+        # Below 5 * eps_g the aggregate is noise, whatever the radius.
+        assert radius_reduced(0.5, 1e-6, 1.0, 0.1)
+        assert not radius_reduced(0.51, 1e-6, 1.0, 0.1)
+
+
+class TestCertify:
+    NOISY = SolverParams(bounds=NoiseBounds(eps_f=1e-4, eps_g=1e-2), eps_ls=2.1e-4)
+
+    def steps(self, reduced):
+        # Five rows at eps_k = 10 with |g| = 50 and alpha = 0.5: each step is
+        # 25 long and drops f by 10, so the Lipschitz estimate is 0.4.
+        return [record(k, eps_k=10.0, norm=50.0, alpha=0.5, f_tilde=60.0 - 10.0 * k,
+                       reduced=reduced and k == 3)
+                for k in range(1, 6)]
+
+    def test_rows_that_do_not_reduce_the_radius_witness_nothing(self):
+        cert = certify(self.steps(reduced=False), self.NOISY, eps_ls=2.1e-4)
+        level = (6.0 * 2.1e-4 * (0.4 + 1e-2) / (1e-10 * 0.5)) ** (1.0 / 3.0)
+        assert cert.level == pytest.approx(level, rel=1e-12)
+        assert cert.bound == pytest.approx(10.0 * level, rel=1e-12)
+        assert cert.witness is None
+
+    def test_first_qualifying_reduced_row_is_the_witness(self):
+        cert = certify(self.steps(reduced=True), self.NOISY, eps_ls=2.1e-4)
+        assert cert.witness == 3
+
+    def test_rows_above_the_level_do_not_witness(self):
+        params = SolverParams(lipschitz=1.0, eta=0.25, eps1=100.0)
+        hist = [record(1, eps_k=50.0, norm=1.0, reduced=True),
+                record(2, eps_k=0.5, norm=0.05, reduced=True),
+                record(3, eps_k=0.05, norm=0.05, reduced=True)]
+        cert = certify(hist, params, eps_ls=0.02)
+        assert 0.5 < cert.level < 50.0
+        assert cert.witness == 2
+        assert not cert.vacuous
+
+    def test_vacuous_when_the_level_reaches_eps1(self):
+        hist = self.steps(reduced=True)
+        assert certify(hist, self.NOISY, eps_ls=2.1e-4).vacuous
+        wide = SolverParams(bounds=self.NOISY.bounds, eps1=1e3)
+        assert not certify(hist, wide, eps_ls=2.1e-4).vacuous
+
+    def test_stored_lipschitz_wins_over_the_estimate(self):
+        params = SolverParams(bounds=self.NOISY.bounds, lipschitz=1e3)
+        cert = certify(self.steps(reduced=False), params, eps_ls=2.1e-4)
+        level = (6.0 * 2.1e-4 * (1e3 + 1e-2) / (1e-10 * 0.5)) ** (1.0 / 3.0)
+        assert cert.level == pytest.approx(level, rel=1e-12)
+
+    def test_no_estimate_leaves_the_level_infinite(self):
+        cert = certify([record(1, reduced=True)], SolverParams(), eps_ls=1e-12)
+        assert math.isinf(cert.level) and math.isinf(cert.bound)
+        assert cert.vacuous
+
+
+def test_step_follows_the_negated_aggregate():
+    problem = load_problem("rosenbrock")
+    x0 = problem.spec.default_start
+    params = SolverParams(budget=1, master_seed=3, eps1=0.1)
+    res = run(problem.oracle, x0, params)
+    alpha = res.history[0].alpha
+    assert alpha > 0.0
+    m = resolve_m(params.m, x0.size)
+    points = sample_ball(x0, params.eps1, m, params.master_seed, 1)
+    columns = np.column_stack([problem.oracle.eval_g(p) for p in [x0, *points]])
+    sol = solve_min_norm(GradientBundle(columns=columns, center=x0, radius=params.eps1),
+                         params.qp_tol)
+    assert np.array_equal(res.final_x, x0 + alpha * -sol.aggregate)
 
 
 class TestParamConstruction:

@@ -436,13 +436,20 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
         records = _parse_history(hist_path, run_params.nu, eps_g)
     except (OSError, ValueError, TypeError) as exc:
         return _fail_run_dir(f"cannot parse {hist_path}: {exc}")
+    cert = certify(records, run_params, eps_ls)
+    # Without a given constant, certify has already estimated it.
+    estimate = cert.lipschitz
+    if run_params.lipschitz is not None:
+        try:
+            estimate = estimate_lipschitz(records, ns.min_step)
+        except NoQualifyingStepsError:
+            estimate = None
     print(f"status: {meta.get('status', 'unknown')}")
     print(f"iterations: {len(records)}")
-    try:
-        print(f"estimated lipschitz: {_fmt_cell(estimate_lipschitz(records, ns.min_step))}")
-    except NoQualifyingStepsError:
+    if estimate is None:
         print("estimated lipschitz: unavailable (no qualifying steps)")
-    cert = certify(records, run_params, eps_ls)
+    else:
+        print(f"estimated lipschitz: {_fmt_cell(estimate)}")
     if math.isfinite(cert.bound):
         print(f"terminal radius level: {_fmt_cell(cert.level)}")
         print(f"terminal bound: {_fmt_cell(cert.bound)}")

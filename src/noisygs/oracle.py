@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -85,8 +86,7 @@ def exact_oracle(dims: int, f: Callable[[Array], float], g: Callable[[Array], Ar
 
 def _canonical_bytes(x) -> bytes:
     # -0.0 + 0.0 is +0.0, so the two zeros key identical noise.
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64)) + 0.0
-    return arr.astype("<f8").tobytes()
+    return (np.asarray(x, dtype=np.float64) + 0.0).astype("<f8", copy=False).tobytes()
 
 
 def _key_digest(seed: int, tag: bytes, x, size: int) -> bytes:
@@ -104,24 +104,63 @@ def keyed_seed(seed: int, x, tag: bytes = b"") -> int:
     return int.from_bytes(_key_digest(seed, tag, x, 8), "little")
 
 
+_TWO_POW_M53 = 2.0 ** -53
+_TWO_PI = 2.0 * math.pi
+# Up to this dimension keyed_ball runs Box-Muller on one blake2b digest (at
+# most 64 bytes: ceil(dim / 2) word pairs plus one radial word). Above it a
+# Generator keyed by the digest is cheaper than a Python loop.
+_DIGEST_BALL_MAX_DIM = 6
+
+
+def _unit(word: int) -> float:
+    """The top 53 bits of a 64-bit word as k * 2**-53 in [0, 1), as numpy's random() does."""
+    return (word >> 11) * _TWO_POW_M53
+
+
+def _word_to_uniform(word: int, half_width: float) -> float:
+    """Map a 64-bit word to [-half_width, half_width).
+
+    2u - 1 is exact for u = k * 2**-53, so word 0 gives -half_width exactly
+    and no word reaches +half_width after rounding.
+    """
+    return half_width * (2.0 * _unit(word) - 1.0)
+
+
 def keyed_uniform(seed: int, x, half_width: float, tag: bytes = b"f") -> float:
     """Deterministic draw from [-half_width, half_width), keyed by (seed, x)."""
     if half_width == 0.0:
         return 0.0
-    rng = _keyed_rng(seed, tag, x)
-    return float(rng.uniform(-half_width, half_width))
+    return _word_to_uniform(keyed_seed(seed, x, tag), half_width)
 
 
 def keyed_ball(seed: int, x, radius: float, dim: int, tag: bytes = b"g") -> Array:
-    """Deterministic draw from the closed ball of given radius, keyed by (seed, x)."""
+    """Deterministic draw from the closed ball of given radius, keyed by (seed, x).
+
+    The direction is a normalised standard Gaussian, the radius radius * U**(1/dim).
+    """
     if radius == 0.0:
         return np.zeros(dim)
-    rng = _keyed_rng(seed, tag, x)
-    direction = rng.standard_normal(dim)
-    nrm = float(np.linalg.norm(direction))
+    if dim > _DIGEST_BALL_MAX_DIM:
+        rng = _keyed_rng(seed, tag, x)
+        direction = rng.standard_normal(dim)
+        nrm = float(np.linalg.norm(direction))
+        if nrm == 0.0:
+            return np.zeros(dim)
+        return direction * (radius * rng.random() ** (1.0 / dim) / nrm)
+    count = 2 * ((dim + 1) // 2) + 1
+    words = struct.unpack(f"<{count}Q", _key_digest(seed, tag, x, 8 * count))
+    gauss = []
+    for i in range(0, count - 1, 2):
+        # Box-Muller, with the first uniform shifted to (0, 1] so log stays finite.
+        r = math.sqrt(-2.0 * math.log(_unit(words[i]) + _TWO_POW_M53))
+        t = _TWO_PI * _unit(words[i + 1])
+        gauss += (r * math.cos(t), r * math.sin(t))
+    del gauss[dim:]
+    nrm = math.hypot(*gauss)
     if nrm == 0.0:
         return np.zeros(dim)
-    return direction * (radius * rng.random() ** (1.0 / dim) / nrm)
+    scale = radius * _unit(words[-1]) ** (1.0 / dim) / nrm
+    return np.array([g * scale for g in gauss])
 
 
 def clamp_scalar(value: float, anchor: float, half_width: float) -> float:

@@ -198,12 +198,15 @@ class Certificate:
         norm_g_tilde <= (nu / theta) * eps_k, or None.
     vacuous: level >= eps1. Every row has eps_k <= eps1, so the level
         condition then rules nothing out.
+    lipschitz: the constant the level was computed from, params.lipschitz
+        or the history's estimate; None when neither exists.
     """
 
     level: float
     bound: float
     witness: Optional[int]
     vacuous: bool
+    lipschitz: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -279,7 +282,7 @@ def certify(history: Sequence[IterateRecord], params: SolverParams,
                     and rec.eps_k <= level
                     and rec.norm_g_tilde <= scale * rec.eps_k), None)
     return Certificate(level=float(level), bound=float(scale * level), witness=witness,
-                       vacuous=level >= params.eps1)
+                       vacuous=level >= params.eps1, lipschitz=lipschitz)
 
 
 def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),

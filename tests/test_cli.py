@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from noisygs import cli
+from noisygs import cli, solver
 from noisygs.minnorm import MinNormNonConvergence
 from noisygs.testkit import files_identical
 
@@ -360,6 +360,24 @@ class TestCertificate:
         assert level == pytest.approx(9.48, rel=1e-3)
         assert "terminal bound met at k=2" in lines
         assert not any(line.startswith("terminal bound vacuous") for line in lines)
+
+    @pytest.mark.parametrize("extra", [(), ("--lipschitz", "4300")])
+    def test_verify_estimates_lipschitz_once(self, extra, tmp_path, capsys, monkeypatch):
+        # Without a given constant the printed estimate is the one certify used.
+        assert call("run", "--eps-f", "1e-2", "--seed", "0", "--budget", "100", *extra,
+                    "--out", tmp_path) == 0
+        real = solver.estimate_lipschitz
+        histories = []
+
+        def counting(history, *args):
+            histories.append(history)
+            return real(history, *args)
+
+        monkeypatch.setattr(solver, "estimate_lipschitz", counting)
+        monkeypatch.setattr(cli, "estimate_lipschitz", counting)
+        lines = verify_lines(capsys, tmp_path)
+        assert len(histories) == 1
+        assert f"estimated lipschitz: {real(histories[0])!r}" in lines
 
     def test_nonpositive_min_step_is_a_usage_error(self, stationary_dir):
         assert call("verify", stationary_dir, "--min-step", "0") == 64

@@ -17,12 +17,12 @@ pytestmark = [
 ]
 
 RUN_DIGESTS = {
-    "history.csv": "cd13ee4c183b4a0119eac1d791cf48c3def89278fc37b65cfd81a78c70ccacb4",
-    "trajectory.csv": "0d7e3b543ab9ec72710368bddf4c6224cf3475ca979614aba2847939071fc975",
-    "run.json": "ba7d2d5cccf5336520937ad7e763cf06146c8a067785fa87d722d6693fbef0bb",
+    "history.csv": "b84ac5d230d2d219055703f2487587f7ea0daad3415b7da10be48111f1fc16bc",
+    "trajectory.csv": "d67c628df6243f511c056b5a8be3f4d02b97f1ef9facef2b48ef14c8afe9945f",
+    "run.json": "83c9994304bcba2787c956230fea6fb875a15345806cdef6dc5cee305a6a5e59",
 }
 
-SWEEP_DIGEST = "92d93b6e03c3cd341e0b74f2d315b82e5f769cd1303c7030b100c0d3be0a6b60"
+SWEEP_DIGEST = "85c37393f5d6003e2bbaed6ca61c7ecf79c7620b4edc4d4e23f0440f2a0e4976"
 
 
 def sha256(path) -> str:

@@ -6,10 +6,12 @@ import pytest
 from noisygs.oracle import (
     NoiseBounds,
     OracleHandle,
+    _word_to_uniform,
     clamp_ball,
     clamp_scalar,
     estimate_diam_caveat,
     exact_oracle,
+    keyed_ball,
     keyed_seed,
     keyed_uniform,
     wrap_with_uniform_noise,
@@ -124,6 +126,60 @@ class TestKeyedFields:
     def test_tags_decorrelate_fields(self):
         x = np.array([0.7])
         assert keyed_uniform(0, x, 1.0, b"f") != keyed_uniform(0, x, 1.0, b"phi")
+        assert not np.array_equal(keyed_ball(0, x, 1.0, 1, b"g"), keyed_ball(0, x, 1.0, 1, b"h"))
+
+
+class TestDigestDraws:
+    """Draws read straight off the key digest: exact ranges and the right laws."""
+
+    @pytest.mark.parametrize("h", [1e-300, 0.1, 1.0, 3.0, 2.0 ** 40])
+    def test_word_map_spans_the_half_open_interval(self, h):
+        assert _word_to_uniform(0, h) == -h
+        top = _word_to_uniform(2 ** 64 - 1, h)
+        assert 0.0 < top < h
+
+    # 1, 2 and 6 run Box-Muller on the digest; 7 takes the Generator path.
+    @pytest.mark.parametrize("dim", [1, 2, 6, 7])
+    def test_ball_draws_have_the_uniform_ball_law(self, dim):
+        radius, count = 0.5, 4000
+        rng = np.random.default_rng(dim)
+        draws = np.array([keyed_ball(11, rng.normal(size=dim), radius, dim)
+                          for _ in range(count)])
+        assert draws.shape == (count, dim)
+        r = np.linalg.norm(draws, axis=1)
+        assert np.all(r <= radius)
+        # (r/R)**dim is uniform on [0, 1): mean 1/2, sd of the mean sqrt(1/(12 N)).
+        assert abs(np.mean((r / radius) ** dim) - 0.5) <= 3.0 * np.sqrt(1.0 / (12.0 * count))
+        units = draws / r[:, None]
+        # Each unit-vector component has variance 1/dim, so |mean|**2 ~ 1/N.
+        assert np.linalg.norm(units.mean(axis=0)) <= 4.0 / np.sqrt(count)
+        assert np.allclose(units.T @ units / count, np.eye(dim) / dim, atol=0.05)
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_ball_keys_signed_zeros_alike(self, dim):
+        negative = np.array([-0.0] * dim)
+        assert np.array_equal(keyed_ball(4, negative, 1.0, dim), keyed_ball(4, -negative, 1.0, dim))
+
+    def test_pinned_values(self):
+        # Any change to how a key becomes a draw moves these.
+        x = np.array([0.3, -1.2])
+        assert keyed_uniform(0, x, 0.1) == pytest.approx(0.07519256232019483, rel=1e-12)
+        assert keyed_uniform(7, np.array([1.0]), 2.0, b"phi") == pytest.approx(
+            1.7575503639764936, rel=1e-12)
+        pinned = {
+            (5, (2.5,), 0.5, 1): [0.29427188212589234],
+            (0, (0.3, -1.2), 0.1, 2): [-0.07685629237168251, -0.031797242093097804],
+            (3, tuple(range(6)), 1.0, 6): [
+                0.6869725804095413, 0.1536213313938813, -0.5488059028389438,
+                -0.12447660367147184, 0.13802741245151742, 0.3879810080222837],
+            (1, tuple(range(7)), 1.0, 7): [
+                0.11738389753255106, -0.2172401464406715, 0.14921643539911777,
+                -0.524541518307035, -0.4167935550096009, 0.49100421114462073,
+                0.19852927200819623],
+        }
+        for (seed, point, radius, dim), expected in pinned.items():
+            draw = keyed_ball(seed, np.array(point, dtype=float), radius, dim)
+            assert draw.tolist() == pytest.approx(expected, rel=1e-12), dim
 
 
 class TestClamps:

@@ -11,7 +11,6 @@ prescribed bound behaves exactly like a deterministic bounded-error oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -74,30 +73,6 @@ def synth_dataset(num_points: int, num_features: int, separation: float,
     return Dataset(features=(X - mu) / sd, labels=y, standardized=True)
 
 
-def save_dataset_csv(data: Dataset, path) -> None:
-    """Write rows as f1..fp,label with a header, UTF-8, LF endings."""
-    p = data.features.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i + 1}" for i in range(p)] + ["label"])
-        for row, lab in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [str(int(lab))])
-
-
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by save_dataset_csv. Never marks standardized."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "label":
-            raise ValueError("expected a header ending in 'label'")
-        rows = [[float(v) for v in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != len(header):
-        raise ValueError("malformed dataset rows")
-    return Dataset(features=arr[:, :-1], labels=arr[:, -1])
-
-
 def weight_count(num_features: int, hidden: int = 10) -> int:
     """Flat parameter count: first layer, its bias, output layer, its bias."""
     return hidden * num_features + hidden + hidden + 1
@@ -108,49 +83,13 @@ def init_weights(num_features: int, hidden: int = 10, seed: int = 0) -> np.ndarr
     return rng.uniform(-0.5, 0.5, size=weight_count(num_features, hidden))
 
 
-@dataclass(frozen=True)
-class MlpParams:
-    """Structured view of the flat weight vector."""
-
-    hidden_weights: np.ndarray
-    hidden_bias: np.ndarray
-    out_weights: np.ndarray
-    out_bias: float
-
-    def __post_init__(self):
-        W1 = np.asarray(self.hidden_weights, dtype=float)
-        b1 = np.asarray(self.hidden_bias, dtype=float)
-        w2 = np.asarray(self.out_weights, dtype=float)
-        h = W1.shape[0] if W1.ndim == 2 else -1
-        if W1.ndim != 2 or b1.shape != (h,) or w2.shape != (h,):
-            raise ValueError("layer shapes disagree")
-        if not (np.all(np.isfinite(W1)) and np.all(np.isfinite(b1))
-                and np.all(np.isfinite(w2)) and np.isfinite(self.out_bias)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "hidden_weights", W1)
-        object.__setattr__(self, "hidden_bias", b1)
-        object.__setattr__(self, "out_weights", w2)
-        object.__setattr__(self, "out_bias", float(self.out_bias))
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.hidden_weights.ravel(), self.hidden_bias,
-                               self.out_weights, [self.out_bias]])
-
-    @staticmethod
-    def from_flat(w, num_features: int, hidden: int = 10) -> "MlpParams":
-        w = np.asarray(w, dtype=float)
-        if w.shape != (weight_count(num_features, hidden),):
-            raise ValueError("weight vector has the wrong length")
-        W1, b1, w2, b2 = _unpack(w, num_features, hidden)
-        return MlpParams(hidden_weights=W1.copy(), hidden_bias=b1.copy(),
-                         out_weights=w2.copy(), out_bias=float(b2))
-
-
 def _unpack(w: np.ndarray, num_features: int, hidden: int):
-    W1 = w[: hidden * num_features].reshape(hidden, num_features)
-    b1 = w[hidden * num_features: hidden * num_features + hidden]
-    w2 = w[hidden * num_features + hidden: hidden * num_features + 2 * hidden]
-    b2 = w[-1]
+    """Layer views of a flat weight vector, or of each row of a (k, dims) stack."""
+    split = hidden * num_features
+    W1 = w[..., :split].reshape(w.shape[:-1] + (hidden, num_features))
+    b1 = w[..., split:split + hidden]
+    w2 = w[..., split + hidden:split + 2 * hidden]
+    b2 = w[..., -1]
     return W1, b1, w2, b2
 
 
@@ -161,6 +100,16 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     e = np.exp(t[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def _mean_bce(logit: np.ndarray, y: np.ndarray) -> float:
+    """Mean of softplus(logit) - y * logit over a 1-d logit vector.
+
+    np.add.reduce(v) / n is the computation np.mean(v) performs, without its
+    dispatch overhead.
+    """
+    v = np.logaddexp(0.0, logit) - y * logit
+    return float(np.add.reduce(v) / v.shape[0])
 
 
 def _forward_loss(w, X, y, hidden: int) -> float:
@@ -174,8 +123,32 @@ def _forward_loss(w, X, y, hidden: int) -> float:
     if w.shape != (weight_count(num_features, hidden),):
         raise ValueError("weight vector has the wrong length")
     W1, b1, w2, b2 = _unpack(w, num_features, hidden)
-    logit = np.maximum(X @ W1.T + b1, 0.0) @ w2 + b2
-    return float(np.mean(np.logaddexp(0.0, logit) - y * logit))
+    return _mean_bce(np.maximum(X @ W1.T + b1, 0.0) @ w2 + b2, y)
+
+
+def _logits_and_grads(W, X, y, hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Logits (k, rows) and loss subgradients (k, dims) for a (k, dims) weight stack.
+
+    Every weight vector sees the same rows. Each layer is one broadcast
+    matmul over the stack, and each row of the result is what a stack of
+    one gives, bit for bit.
+    """
+    num_features = X.shape[1]
+    if W.ndim != 2 or W.shape[1] != weight_count(num_features, hidden):
+        raise ValueError("weight vector has the wrong length")
+    W1, b1, w2, b2 = _unpack(W, num_features, hidden)
+    pre = X @ W1.transpose(0, 2, 1) + b1[:, None, :]
+    act = np.maximum(pre, 0.0)
+    logit = (act @ w2[:, :, None])[:, :, 0] + b2[:, None]
+    batch = X.shape[0]
+    dlogit = (_sigmoid(logit) - y) / batch
+    db2 = dlogit.sum(axis=1)
+    dw2 = (act.transpose(0, 2, 1) @ dlogit[:, :, None])[:, :, 0]
+    dpre = dlogit[:, :, None] * w2[:, None, :] * (pre > 0.0)
+    dW1 = dpre.transpose(0, 2, 1) @ X
+    db1 = dpre.sum(axis=1)
+    grads = np.concatenate([dW1.reshape(W.shape[0], -1), db1, dw2, db2[:, None]], axis=1)
+    return logit, grads
 
 
 def loss_and_grad(w, X, y, hidden: int = 10) -> tuple[float, np.ndarray]:
@@ -188,24 +161,10 @@ def loss_and_grad(w, X, y, hidden: int = 10) -> tuple[float, np.ndarray]:
     w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    num_features = X.shape[1]
-    if w.shape != (weight_count(num_features, hidden),):
+    if w.ndim != 1:
         raise ValueError("weight vector has the wrong length")
-    W1, b1, w2, b2 = _unpack(w, num_features, hidden)
-    pre = X @ W1.T + b1
-    act = np.maximum(pre, 0.0)
-    logit = act @ w2 + b2
-    loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))
-    batch = X.shape[0]
-    dlogit = (_sigmoid(logit) - y) / batch
-    db2 = dlogit.sum()
-    dw2 = act.T @ dlogit
-    dact = np.outer(dlogit, w2)
-    dpre = dact * (pre > 0.0)
-    dW1 = dpre.T @ X
-    db1 = dpre.sum(axis=0)
-    grad = np.concatenate([dW1.ravel(), db1, dw2, [db2]])
-    return loss, grad
+    logit, grads = _logits_and_grads(w[None], X, y, hidden)
+    return _mean_bce(logit[0], y), grads[0]
 
 
 def accuracy(data: Dataset, w, hidden: int = 10) -> float:
@@ -273,26 +232,50 @@ class BatchOracleConfig:
             raise ValueError("eps_f must be positive")
 
 
+def _last_point_memo(fn):
+    """fn with a one-entry cache on its last argument's exact bytes.
+
+    An array result is handed out as a copy, so a caller that mutates it
+    cannot change what the next call returns.
+    """
+    last: dict = {"key": None, "value": None}
+
+    def memo(w):
+        w = np.asarray(w, dtype=float)
+        key = (w.shape, w.tobytes())
+        if key != last["key"]:
+            last["value"] = fn(w)
+            last["key"] = key
+        value = last["value"]
+        return value.copy() if isinstance(value, np.ndarray) else value
+
+    return memo
+
+
 def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig(),
                     hidden: int = 10) -> OracleHandle:
     """Oracle over the flat weight vector for the given dataset.
 
-    Truth access always evaluates the full dataset. The handle's meta dict
-    carries the mode; adaptive mode additionally tracks samples_total (sum
-    of rows used per distinct query point) and last_used there. Fixed mode
-    rejects batch sizes above the dataset size and is flagged as not
-    deterministic, since the same w can see different batches.
+    Truth access always evaluates the full dataset and remembers its last
+    point, so reporting f and g at an iterate that did not move costs no
+    second full-data pass. The handle's meta dict carries the mode;
+    adaptive mode additionally tracks samples_total (sum of rows used per
+    distinct query point) and last_used there. Fixed mode rejects batch
+    sizes above the dataset size and is flagged as not deterministic, since
+    the same w can see different batches; its eval_g carries a stacked
+    `many` that evaluates a whole gradient bundle on the last batch.
     """
-    num_features = data.features.shape[1]
+    X, y = data.features, data.labels
+    num_features = X.shape[1]
     dims = weight_count(num_features, hidden)
 
     def full_f(w):
-        return _forward_loss(w, data.features, data.labels, hidden)
+        return _forward_loss(w, X, y, hidden)
 
     def full_g(w):
-        return loss_and_grad(w, data.features, data.labels, hidden)[1]
+        return loss_and_grad(w, X, y, hidden)[1]
 
-    truth = TruthAccess(f=full_f, g=full_g)
+    truth = TruthAccess(f=_last_point_memo(full_f), g=_last_point_memo(full_g))
     meta = {"mode": config.mode, "hidden": hidden}
 
     if config.mode == "full":
@@ -300,7 +283,7 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
                             deterministic=True, meta=meta)
 
     if config.mode == "fixed":
-        if config.batch_size > data.features.shape[0]:
+        if config.batch_size > X.shape[0]:
             raise ValueError("batch_size exceeds the dataset size")
         state: dict = {"counter": 0, "batch": None}
         meta["state"] = state
@@ -311,18 +294,23 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
 
         def draw_batch():
             state["counter"] += 1
-            idx = batch_rng.choice(
-                data.features.shape[0], size=config.batch_size, replace=False)
+            idx = batch_rng.choice(X.shape[0], size=config.batch_size, replace=False)
             state["batch"] = idx
             return idx
 
+        def last_batch():
+            idx = state["batch"] if state["batch"] is not None else draw_batch()
+            return X.take(idx, axis=0), y.take(idx)
+
         def fixed_f(w):
             idx = draw_batch()
-            return _forward_loss(w, data.features[idx], data.labels[idx], hidden)
+            return _forward_loss(w, X.take(idx, axis=0), y.take(idx), hidden)
 
         def fixed_g(w):
-            idx = state["batch"] if state["batch"] is not None else draw_batch()
-            return loss_and_grad(w, data.features[idx], data.labels[idx], hidden)[1]
+            return loss_and_grad(w, *last_batch(), hidden)[1]
+
+        # A gradient bundle shares the last batch, so it is one stacked pass.
+        fixed_g.many = lambda points: _logits_and_grads(points, *last_batch(), hidden)[1]
 
         return OracleHandle(dims=dims, eval_f=fixed_f, eval_g=fixed_g, truth_access=truth,
                             deterministic=False, meta=meta)

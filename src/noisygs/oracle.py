@@ -76,6 +76,23 @@ class OracleHandle:
     deterministic: bool = True
     meta: dict = field(default_factory=dict)
 
+    def eval_g_many(self, points) -> Array:
+        """Gradients at each row of points, as a (k, dims) array.
+
+        An eval_g that can evaluate a whole stack at once carries that
+        implementation as its `many` attribute. The batch travels with the
+        callable, so a handle rebuilt around another eval_g calls that
+        eval_g once per row instead.
+        """
+        points = np.asarray(points, dtype=float)
+        many = getattr(self.eval_g, "many", None)
+        if many is not None:
+            return many(points)
+        out = np.empty((len(points), self.dims))
+        for i, point in enumerate(points):
+            out[i] = self.eval_g(point)
+        return out
+
 
 def exact_oracle(dims: int, f: Callable[[Array], float], g: Callable[[Array], Array],
                  subdiff: Optional[Callable[[Array], Array]] = None) -> OracleHandle:

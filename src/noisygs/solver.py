@@ -340,9 +340,7 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
             break
         points = sample_ball(x, eps, m, params.master_seed, k)
         columns = np.empty((n, m + 1))
-        columns[:, 0] = np.asarray(oracle.eval_g(x), dtype=float)
-        for i in range(m):
-            columns[:, i + 1] = np.asarray(oracle.eval_g(points[i]), dtype=float)
+        columns[:] = oracle.eval_g_many(np.vstack([x, points])).T
         g_evals += m + 1
         try:
             sol = solve_min_norm(GradientBundle(columns=columns, center=x, radius=eps),

@@ -8,14 +8,11 @@ import pytest
 from noisygs.mldemo import (
     BatchOracleConfig,
     Dataset,
-    MlpParams,
     accuracy,
     adaptive_batch_eval,
     bce_loss_oracle,
     init_weights,
-    load_dataset_csv,
     loss_and_grad,
-    save_dataset_csv,
     synth_dataset,
     weight_count,
 )
@@ -109,42 +106,6 @@ class TestDatasetContainer:
         X = np.array([[5.0], [7.0]])
         with pytest.raises(ValueError):
             Dataset(features=X, labels=np.array([0.0, 1.0]), standardized=True)
-
-
-def test_csv_roundtrip(tmp_path, data):
-    path = tmp_path / "points.csv"
-    small = Dataset(features=data.features[:37], labels=data.labels[:37])
-    save_dataset_csv(small, path)
-    text = path.read_bytes()
-    assert b"\r" not in text
-    assert text.startswith(b"f1,")
-    back = load_dataset_csv(path)
-    assert np.array_equal(back.features, small.features)
-    assert np.array_equal(back.labels, small.labels)
-    assert not back.standardized
-
-
-def test_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        load_dataset_csv(path)
-
-
-class TestMlpParams:
-    def test_flat_roundtrip_is_bitwise(self):
-        w = init_weights(5, 4, seed=3)
-        params = MlpParams.from_flat(w, 5, hidden=4)
-        assert np.array_equal(params.flatten(), w)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            MlpParams.from_flat(np.zeros(10), 5, hidden=4)
-
-    def test_shape_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            MlpParams(hidden_weights=np.ones((3, 2)), hidden_bias=np.ones(2),
-                      out_weights=np.ones(3), out_bias=0.0)
 
 
 def test_init_weights_range_and_seed():
@@ -255,9 +216,85 @@ class TestFixedOracle:
         oracle.eval_f(w)
         assert oracle.meta["state"]["counter"] == 2
 
+    def test_native_bundle_equals_the_per_point_path(self, data):
+        oracle = bce_loss_oracle(data, BatchOracleConfig(mode="fixed", batch_size=128,
+                                                         resample_seed=4))
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            w = init_weights(13, 10, seed=int(rng.integers(100)))
+            oracle.eval_f(w)
+            points = w + 0.3 * rng.normal(size=(11, 151))
+            counter = oracle.meta["state"]["counter"]
+            many = oracle.eval_g_many(points)
+            assert oracle.meta["state"]["counter"] == counter
+            idx = oracle.meta["state"]["batch"]
+            assert np.array_equal(many, np.stack([oracle.eval_g(p) for p in points]))
+            for p, g in zip(points, many):
+                assert np.array_equal(g, loss_and_grad(p, data.features[idx],
+                                                       data.labels[idx])[1])
+
+    def test_native_bundle_draws_one_batch_when_none_exists(self, data):
+        cfg = BatchOracleConfig(mode="fixed", batch_size=64, resample_seed=2)
+        native = bce_loss_oracle(data, cfg)
+        per_point = bce_loss_oracle(data, cfg)
+        points = np.random.default_rng(1).normal(size=(4, 151))
+        many = native.eval_g_many(points)
+        assert native.meta["state"]["counter"] == 1
+        assert np.array_equal(many, np.stack([per_point.eval_g(p) for p in points]))
+        assert per_point.meta["state"]["counter"] == 1
+        assert np.array_equal(native.meta["state"]["batch"], per_point.meta["state"]["batch"])
+
     def test_oversized_batch_rejected(self, data):
         with pytest.raises(ValueError):
             bce_loss_oracle(data, BatchOracleConfig(mode="fixed", batch_size=2000))
+
+
+class TestTruthMemo:
+    def test_memo_matches_the_full_data_values(self, data):
+        oracle = bce_loss_oracle(data, BatchOracleConfig(mode="fixed"))
+        truth = oracle.truth_access
+        for seed in (0, 1, 0):
+            w = init_weights(13, 10, seed=seed)
+            loss, grad = loss_and_grad(w, data.features, data.labels)
+            for _ in range(2):
+                assert truth.f(w) == loss
+                assert np.array_equal(truth.g(w), grad)
+
+    def test_a_returned_gradient_is_a_copy(self, data):
+        truth = bce_loss_oracle(data, BatchOracleConfig(mode="fixed")).truth_access
+        w = init_weights(13, 10, seed=2)
+        first = truth.g(w)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(truth.g(w), expected)
+
+    def test_only_a_new_point_recomputes(self, data, monkeypatch):
+        import noisygs.mldemo as mldemo
+
+        calls = {"f": 0, "g": 0}
+        forward, backward = mldemo._forward_loss, mldemo.loss_and_grad
+
+        def counted_forward(*args):
+            calls["f"] += 1
+            return forward(*args)
+
+        def counted_backward(*args):
+            calls["g"] += 1
+            return backward(*args)
+
+        monkeypatch.setattr(mldemo, "_forward_loss", counted_forward)
+        monkeypatch.setattr(mldemo, "loss_and_grad", counted_backward)
+        truth = bce_loss_oracle(data, BatchOracleConfig(mode="fixed")).truth_access
+        w = init_weights(13, 10, seed=3)
+        for _ in range(3):
+            truth.f(w)
+            truth.g(w.copy())
+        assert calls == {"f": 1, "g": 1}
+        moved = w.copy()
+        moved[0] += 1e-12
+        assert truth.f(moved) == forward(moved, data.features, data.labels, 10)
+        assert np.array_equal(truth.g(moved), backward(moved, data.features, data.labels)[1])
+        assert calls == {"f": 2, "g": 2}
 
 
 class TestAdaptiveOracle:

@@ -1,5 +1,7 @@
 """Noise wrapping: exact bound enforcement, determinism, and keying."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,42 @@ def test_bounds_validation():
         NoiseBounds(eps_f=-0.1)
     with pytest.raises(ValueError):
         NoiseBounds(eps_g=np.inf)
+
+
+class TestEvalGMany:
+    def test_without_a_batch_it_stacks_eval_g(self):
+        noisy = wrap_with_uniform_noise(quadratic_oracle(3), NoiseBounds(0.1, 0.05), noise_seed=1)
+        points = np.random.default_rng(2).normal(size=(5, 3))
+        many = noisy.eval_g_many(points)
+        assert many.shape == (5, 3)
+        assert np.array_equal(many, np.stack([noisy.eval_g(p) for p in points]))
+
+    def test_a_batch_on_eval_g_is_used_and_travels_with_it(self):
+        batches = []
+
+        def g(x):
+            return 2.0 * np.asarray(x, dtype=float)
+
+        def g_many(points):
+            batches.append(points.shape)
+            return 2.0 * points
+
+        g.many = g_many
+        oracle = OracleHandle(dims=2, eval_f=lambda x: 0.0, eval_g=g)
+        points = np.arange(8.0).reshape(4, 2)
+        assert np.array_equal(oracle.eval_g_many(points), 2.0 * points)
+        assert batches == [(4, 2)]
+
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return g(x)
+
+        rebuilt = dataclasses.replace(oracle, eval_g=counting)
+        assert np.array_equal(rebuilt.eval_g_many(points), 2.0 * points)
+        assert len(calls) == 4
+        assert batches == [(4, 2)]
 
 
 class TestKeyedFields:

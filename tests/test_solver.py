@@ -446,6 +446,31 @@ def test_step_follows_the_negated_aggregate():
     assert np.array_equal(res.final_x, x0 + alpha * -sol.aggregate)
 
 
+def test_one_gradient_bundle_per_iteration():
+    bundles = []
+
+    def g(x):
+        return 2.0 * np.asarray(x, dtype=float)
+
+    def g_many(points):
+        bundles.append(points.copy())
+        return 2.0 * points
+
+    g.many = g_many
+    oracle = OracleHandle(dims=2, eval_f=lambda x: float(np.asarray(x) @ np.asarray(x)),
+                          eval_g=g)
+    x0 = np.array([3.0, -1.0])
+    params = SolverParams(budget=4, m=5, master_seed=2)
+    res = run(oracle, x0, params)
+    assert len(bundles) == len(res.history) == 4
+    assert res.g_evals == 4 * (5 + 1)
+    for k, bundle in enumerate(bundles, start=1):
+        rec = res.history[k - 1]
+        assert bundle.shape == (6, 2)
+        assert np.array_equal(bundle[0], rec.x)
+        assert np.array_equal(bundle[1:], sample_ball(rec.x, rec.eps_k, 5, 2, k))
+
+
 class TestParamConstruction:
     def test_mechanical_validation(self):
         with pytest.raises(ValueError):

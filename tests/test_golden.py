@@ -23,6 +23,14 @@ RUN_DIGESTS = {
     "run.json": "83c9994304bcba2787c956230fea6fb875a15345806cdef6dc5cee305a6a5e59",
 }
 
+# `run --eps-f 1e-2 --lipschitz 5 --seed 3 --budget 300`: 294 of its 298 line
+# searches give up at the radius-scaled cutoff gamma * eps_k / (3 (L + eps_g)).
+LIPSCHITZ_RUN_DIGESTS = {
+    "history.csv": "c05cc8fb9ab47a7e8a176c2cf19530ee33812724aa2fb72c20ec7f3505cd178a",
+    "trajectory.csv": "aeca4d1e7f1bba36a81749c4eca1675e26648ce3f24056ea26f2b9a04aa726ec",
+    "run.json": "f2edd19e1846360b811e5c97f6b16173e5e188de04306701809f1300a57d7dd0",
+}
+
 SWEEP_DIGEST = "85c37393f5d6003e2bbaed6ca61c7ecf79c7620b4edc4d4e23f0440f2a0e4976"
 
 # `train` in the fixed-batch mode of the mlp_train benchmark workload, and
@@ -63,6 +71,19 @@ def run_dir(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
 def test_run_files_match_their_digests(run_dir, name):
     assert sha256(run_dir / name) == RUN_DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def lipschitz_run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden") / "lipschitz_run"
+    assert cli.main(["run", "--eps-f", "1e-2", "--lipschitz", "5", "--seed", "3",
+                     "--budget", "300", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LIPSCHITZ_RUN_DIGESTS))
+def test_lipschitz_run_files_match_their_digests(lipschitz_run_dir, name):
+    assert sha256(lipschitz_run_dir / name) == LIPSCHITZ_RUN_DIGESTS[name]
 
 
 def test_sweep_csv_matches_its_digest(tmp_path):

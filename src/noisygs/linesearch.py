@@ -10,62 +10,10 @@ set even though noise can make individual acceptances non-monotone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LipschitzCutoff:
-    """Give up once gamma^j < gamma * eps_k / (3 (lipschitz + eps_g)).
-
-    The radius-aware cutoff from the convergence analysis; it needs a known
-    Lipschitz bound for the objective near the iterates.
-    """
-
-    lipschitz: float
-    eps_g: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0.0):
-            raise ValueError("lipschitz must be positive and finite")
-        if not (math.isfinite(self.eps_g) and self.eps_g >= 0.0):
-            raise ValueError("eps_g must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class FloorCutoff:
-    """Give up once gamma^j < alpha_min, independent of the sampling radius."""
-
-    alpha_min: float = 1e-20
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_min < 1.0):
-            raise ValueError("alpha_min must lie in (0, 1)")
-
-
-Cutoff = Union[LipschitzCutoff, FloorCutoff]
-
-
-@dataclass(frozen=True)
-class LineSearchParams:
-    gamma: float
-    eta: float
-    eps_ls: float
-    cutoff_mode: Cutoff
-    f1_cap: float
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0, 1)")
-        if not (0.0 < self.eta < 0.5):
-            raise ValueError("eta must lie in (0, 1/2)")
-        if not (math.isfinite(self.eps_ls) and self.eps_ls > 0.0):
-            raise ValueError("eps_ls must be positive and finite")
-        if math.isnan(self.f1_cap):
-            raise ValueError("f1_cap must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -81,12 +29,12 @@ class LineSearchOutcome:
     accepted_f: Optional[float]
 
 
-def backtrack(oracle, x, direction, f_at_x: float, params: LineSearchParams,
-              eps_k: float) -> LineSearchOutcome:
+def backtrack(oracle, x, direction, f_at_x: float, gamma: float, eta: float,
+              eps_ls: float, f1_cap: float, min_step: float) -> LineSearchOutcome:
     """Try steps gamma^0, gamma^1, ... along direction until one is accepted.
 
-    f_at_x must be the oracle value at x; it anchors the decrease test.
-    eps_k only matters for the radius-scaled cutoff. Acceptance requires
+    f_at_x must be the oracle value at x; it anchors the decrease test. The
+    search gives up once gamma^j < min_step. Acceptance requires
 
         f(x + a d) < f_at_x - eta * a * |d|^2 + eps_ls   and
         f(x + a d) <= f1_cap.
@@ -96,21 +44,16 @@ def backtrack(oracle, x, direction, f_at_x: float, params: LineSearchParams,
     dd = float(d @ d)
     if dd == 0.0:
         raise ValueError("direction must be nonzero")
-    if not (eps_k > 0.0):
-        raise ValueError("eps_k must be positive")
-    if isinstance(params.cutoff_mode, LipschitzCutoff):
-        c = params.cutoff_mode
-        threshold = params.gamma * eps_k / (3.0 * (c.lipschitz + c.eps_g))
-    else:
-        threshold = params.cutoff_mode.alpha_min
+    if not (0.0 < gamma < 1.0 and min_step > 0.0):
+        raise ValueError("backtracking needs 0 < gamma < 1 and min_step > 0")
     trials = 0
     j = 0
     while True:
-        step = params.gamma ** j
-        if step < threshold:
+        step = gamma ** j
+        if step < min_step:
             return LineSearchOutcome(alpha=0.0, trial_count=trials, accepted_f=None)
         trial_f = float(oracle.eval_f(x + step * d))
         trials += 1
-        if trial_f < f_at_x - params.eta * step * dd + params.eps_ls and trial_f <= params.f1_cap:
+        if trial_f < f_at_x - eta * step * dd + eps_ls and trial_f <= f1_cap:
             return LineSearchOutcome(alpha=step, trial_count=trials, accepted_f=trial_f)
         j += 1

@@ -335,7 +335,7 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
         return adaptive(w)[0]
 
     def adaptive_g(w):
-        return adaptive(w)[1]
+        return adaptive(w)[1].copy()
 
     return OracleHandle(dims=dims, eval_f=adaptive_f, eval_g=adaptive_g, truth_access=truth,
                         deterministic=True, meta=meta)

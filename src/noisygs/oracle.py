@@ -20,8 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampler import sample_ball
-
 Array = np.ndarray
 
 
@@ -236,28 +234,3 @@ def wrap_with_uniform_noise(exact: OracleHandle, bounds: NoiseBounds, noise_seed
 
     return OracleHandle(dims=n, eval_f=noisy_f, eval_g=noisy_g, truth_access=truth,
                         deterministic=True)
-
-
-def estimate_diam_caveat(exact: OracleHandle, x, eps: float, num_samples: int,
-                         rng_seed: int = 0) -> float:
-    """Largest pairwise distance among true subgradients sampled near x.
-
-    A value much larger than the eps_g one is prepared to declare means the
-    bounded-gradient-error assumption is restrictive there: near a kink the
-    subdifferential has diameter comparable to the derivative jump, and a
-    single reported gradient with small error cannot represent it.
-    """
-    if exact.truth_access is None:
-        raise ValueError("diameter estimation needs exact evaluators")
-    if num_samples < 2:
-        raise ValueError("need at least two samples for a pairwise distance")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError("eps must be positive")
-    x = np.asarray(x, dtype=float)
-    points = sample_ball(x, eps, num_samples, rng_seed, 0)
-    grads = np.empty((num_samples, x.size))
-    for i, p in enumerate(points):
-        grads[i] = np.asarray(exact.truth_access.g(p), dtype=float)
-    sq = np.einsum("ij,ij->i", grads, grads)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (grads @ grads.T)
-    return float(np.sqrt(max(float(np.max(d2)), 0.0)))

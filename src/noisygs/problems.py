@@ -31,7 +31,6 @@ class ProblemSpec:
     name: str
     dims: int
     default_start: np.ndarray
-    known_optimum: Optional[tuple[np.ndarray, float]] = None
     lipschitz_hint: Optional[float] = None
 
 
@@ -66,7 +65,6 @@ def rosenbrock_ns() -> tuple[OracleHandle, ProblemSpec]:
         name="rosenbrock",
         dims=2,
         default_start=np.array([-1.2, 1.0]),
-        known_optimum=(np.array([1.0, 1.0]), 0.0),
     )
     return exact_oracle(2, f, g, subdiff), spec
 
@@ -211,7 +209,6 @@ def load_problem(name: str) -> Problem:
             name="abs_composite",
             dims=1,
             default_start=np.array([1.0]),
-            known_optimum=(np.array([0.0]), 0.0),
             lipschitz_hint=1.0,
         )
         return Problem(

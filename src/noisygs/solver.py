@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linesearch import FloorCutoff, LineSearchParams, LipschitzCutoff, backtrack
+from .linesearch import backtrack
 from .minnorm import GradientBundle, MinNormNonConvergence, solve_min_norm
 from .oracle import NoiseBounds, OracleHandle
 from .sampler import sample_ball
@@ -82,6 +82,12 @@ class SolverParams:
             raise ValueError("m must be at least 1")
         if not (np.isfinite(self.eps1) and self.eps1 > 0.0):
             raise ValueError("eps1 must be positive and finite")
+        if not (0.0 < self.gamma < 1.0):
+            raise ValueError("gamma must lie in (0, 1)")
+        for name in ("eps_ls", "lipschitz"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite")
         if not (0.0 < self.alpha_min < 1.0):
             raise ValueError("alpha_min must lie in (0, 1)")
         if not (self.qp_tol > 0.0):
@@ -122,8 +128,6 @@ def validate_params(params: SolverParams, dims: int) -> list[str]:
         out.append(f"m = {m} is below dims + 1 = {dims + 1}")
     if not (0.0 < params.theta <= 1.0):
         out.append(f"theta = {params.theta} lies outside (0, 1]")
-    if not (0.0 < params.gamma < 1.0):
-        out.append(f"gamma = {params.gamma} lies outside (0, 1)")
     if not (0.0 < params.eta < 0.5):
         out.append(f"eta = {params.eta} lies outside (0, 1/2)")
     if not (params.nu > 0.0):
@@ -139,7 +143,7 @@ def validate_params(params: SolverParams, dims: int) -> list[str]:
         L = params.lipschitz
         if not (L > 2.0 * eps_g):
             out.append(f"lipschitz = {L} must exceed twice eps_g = {eps_g}")
-        if params.eta > 0.0 and params.gamma > 0.0 and params.nu > 0.0 and L + eps_g > 0.0:
+        if params.eta > 0.0 and params.nu > 0.0:
             lo = terminal_bound_eps(params, eps_ls, L)
             hi = 3.0 * (L + eps_g)
             if not (lo < params.eps1 < hi):
@@ -259,6 +263,17 @@ def radius_reduced(norm_g: float, eps_k: float, nu: float, eps_g: float) -> bool
     return norm_g <= max(nu * eps_k, 5.0 * eps_g)
 
 
+def step_cutoff(params: SolverParams, eps_k: float) -> float:
+    """Shortest step the line search tries at sampling radius eps_k.
+
+    The radius-scaled gamma * eps_k / (3 (lipschitz + eps_g)) when a Lipschitz
+    bound is known, else the fixed floor alpha_min.
+    """
+    if params.lipschitz is None:
+        return params.alpha_min
+    return params.gamma * eps_k / (3.0 * (params.lipschitz + params.bounds.eps_g))
+
+
 def certify(history: Sequence[IterateRecord], params: SolverParams,
             eps_ls: float) -> Certificate:
     """Check a run's history against the terminal bound.
@@ -272,7 +287,7 @@ def certify(history: Sequence[IterateRecord], params: SolverParams,
             lipschitz = estimate_lipschitz(history, params.lipschitz_min_step)
         except NoQualifyingStepsError:
             lipschitz = None
-    if lipschitz is None or not (params.eta > 0.0 and params.gamma > 0.0 and params.nu > 0.0):
+    if lipschitz is None or not (params.eta > 0.0 and params.nu > 0.0):
         level = math.inf
     else:
         level = terminal_bound_eps(params, eps_ls, lipschitz)
@@ -318,18 +333,16 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
     eps_f = params.bounds.eps_f
     eps_g = params.bounds.eps_g
     eps_ls = resolve_eps_ls(params.eps_ls, eps_f)
-    if params.lipschitz is not None:
-        cutoff = LipschitzCutoff(lipschitz=params.lipschitz, eps_g=eps_g)
-    else:
-        cutoff = FloorCutoff(alpha_min=params.alpha_min)
     truth_f = oracle.truth_access.f if oracle.truth_access is not None else None
     small = n <= 3
 
     f_x = float(oracle.eval_f(x))
+    if math.isnan(f_x):
+        # f(x0) caps every accepted value (backtrack's f1_cap).
+        raise ValueError("f1_cap must not be NaN")
+    f1_cap = f_x
     f_evals = 1
     g_evals = 0
-    ls_params = LineSearchParams(gamma=params.gamma, eta=params.eta, eps_ls=eps_ls,
-                                 cutoff_mode=cutoff, f1_cap=f_x)
     eps = float(params.eps1)
     history: list[IterateRecord] = []
     status = RunStatus.BUDGET_EXHAUSTED
@@ -357,7 +370,8 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
             x_next, f_next = x, f_x
         else:
             direction = -sol.aggregate
-            outcome = backtrack(oracle, x, direction, f_x, ls_params, eps)
+            outcome = backtrack(oracle, x, direction, f_x, params.gamma, params.eta,
+                                eps_ls, f1_cap, step_cutoff(params, eps))
             alpha = outcome.alpha
             backtracks = outcome.trial_count
             f_evals += outcome.trial_count

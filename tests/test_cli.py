@@ -193,6 +193,18 @@ class TestRun:
         cfg.write_text("- 1\n- 2\n")
         assert call("run", "--config", cfg) == 64
 
+    def test_eta_outside_its_interval_runs_with_the_warning(self, out_dir):
+        assert call("run", "--eta", "0.6", "--budget", "5", "--out", out_dir) == 0
+        warnings = read_json(out_dir / "run.json")["warnings"]
+        assert any("eta = 0.6 lies outside (0, 1/2)" in w for w in warnings)
+
+    @pytest.mark.parametrize("flag,value,text", [("--gamma", "1.0", "gamma must lie in"),
+                                                 ("--lipschitz", "0", "lipschitz must be")])
+    def test_bad_line_search_constant_is_a_usage_error(self, flag, value, text, out_dir,
+                                                       capsys):
+        assert call("run", flag, value, "--budget", "5", "--out", out_dir) == 64
+        assert text in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def stationary_dir(tmp_path_factory):
@@ -519,6 +531,14 @@ class TestTrain:
         cfg = tmp_path / "train.yaml"
         cfg.write_text("eps_ls_grid: []\n")
         assert call("train", "--config", cfg) == 64
+
+    @pytest.mark.parametrize("flag,value,text", [("--gamma", "1.0", "gamma must lie in"),
+                                                 ("--lipschitz", "0", "lipschitz must be"),
+                                                 ("--eps-ls-grid", "inf", "eps_ls must be")])
+    def test_bad_line_search_constant_is_a_usage_error(self, flag, value, text, out_dir,
+                                                       capsys):
+        assert call("train", flag, value, "--budget", "2", "--out", out_dir) == 64
+        assert text in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

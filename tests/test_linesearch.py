@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from noisygs.linesearch import (
-    FloorCutoff,
-    LineSearchOutcome,
-    LineSearchParams,
-    LipschitzCutoff,
-    backtrack,
-)
+from noisygs.linesearch import LineSearchOutcome, backtrack
 from noisygs.oracle import exact_oracle
+from noisygs.solver import SolverParams, step_cutoff
 
 
 def linear_descent_oracle():
@@ -21,17 +16,19 @@ def rising_oracle():
     return exact_oracle(1, lambda x: float(x[0] ** 2), lambda x: 2.0 * np.asarray(x))
 
 
-def params_with(**kw):
-    base = dict(gamma=0.5, eta=1e-10, eps_ls=1e-12,
-                cutoff_mode=FloorCutoff(1e-20), f1_cap=np.inf)
-    base.update(kw)
-    return LineSearchParams(**base)
+def search(oracle, x, d, f_x, gamma=0.5, eta=1e-10, eps_ls=1e-12, f1_cap=np.inf,
+           min_step=1e-20):
+    return backtrack(oracle, x, d, f_x, gamma, eta, eps_ls, f1_cap, min_step)
+
+
+def lipschitz_cutoff(eps_k):
+    """The radius-scaled cutoff for L = 1, eps_g = 0: gamma * eps_k / 3."""
+    return step_cutoff(SolverParams(lipschitz=1.0), eps_k)
 
 
 def test_descent_direction_accepts_the_full_step():
     oracle = linear_descent_oracle()
-    out = backtrack(oracle, np.array([0.0]), np.array([-1.0]), 0.0,
-                    params_with(), eps_k=1.0)
+    out = search(oracle, [0.0], [-1.0], 0.0)
     assert out.alpha == 1.0
     assert out.trial_count == 1
     assert out.accepted_f == -1.0
@@ -41,8 +38,7 @@ def test_partial_backtrack_on_a_curved_objective():
     # f(x) = x^2 from x = 1 along d = -2 (the negated gradient): the full
     # step reflects to -1 and ties, the halved step lands on the minimum.
     oracle = rising_oracle()
-    out = backtrack(oracle, np.array([1.0]), np.array([-2.0]), 1.0,
-                    params_with(), eps_k=1.0)
+    out = search(oracle, [1.0], [-2.0], 1.0)
     assert out.alpha == 0.5
     assert out.trial_count == 2
     assert out.accepted_f == 0.0
@@ -56,8 +52,7 @@ def test_hopeless_search_exhausts_the_floor():
     an oracle sitting eps_ls above everywhere instead.
     """
     wall = exact_oracle(1, lambda x: 10.0, lambda x: np.zeros(1))
-    out = backtrack(wall, np.array([1.0]), np.array([1.0]), 1.0,
-                    params_with(eta=0.4), eps_k=1.0)
+    out = search(wall, [1.0], [1.0], 1.0, eta=0.4)
     assert out.alpha == 0.0
     assert out.trial_count == 67
     assert out.accepted_f is None
@@ -68,8 +63,7 @@ def test_slack_accepts_a_tiny_step_even_uphill():
     # accepted step: once gamma^j is small enough the trial value sits
     # within eps_ls of f_at_x and passes the relaxed test.
     oracle = rising_oracle()
-    out = backtrack(oracle, np.array([1.0]), np.array([1.0]), 1.0,
-                    params_with(eta=0.4), eps_k=1.0)
+    out = search(oracle, [1.0], [1.0], 1.0, eta=0.4)
     assert out.alpha == 0.5 ** 42
     assert out.trial_count == 43
     assert out.accepted_f <= 1.0 + 1e-12
@@ -79,8 +73,8 @@ def test_radius_scaled_cutoff_stops_early():
     # Threshold gamma * eps_k / (3 (L + eps_g)) = 1/6: steps 1, 1/2, 1/4 are
     # tried and 1/8 falls under the line.
     oracle = rising_oracle()
-    p = params_with(eta=0.4, cutoff_mode=LipschitzCutoff(lipschitz=1.0))
-    out = backtrack(oracle, np.array([1.0]), np.array([1.0]), 1.0, p, eps_k=1.0)
+    assert lipschitz_cutoff(1.0) == 0.5 / 3.0
+    out = search(oracle, [1.0], [1.0], 1.0, eta=0.4, min_step=lipschitz_cutoff(1.0))
     assert out.alpha == 0.0
     assert out.trial_count == 3
 
@@ -89,9 +83,8 @@ def test_radius_scaled_cutoff_tracks_the_radius():
     # The give-up threshold is proportional to eps_k, so a smaller radius
     # lets the search backtrack deeper before quitting.
     oracle = rising_oracle()
-    p = params_with(eta=0.4, cutoff_mode=LipschitzCutoff(lipschitz=1.0))
-    wide = backtrack(oracle, np.array([1.0]), np.array([1.0]), 1.0, p, eps_k=1.0)
-    narrow = backtrack(oracle, np.array([1.0]), np.array([1.0]), 1.0, p, eps_k=1e-3)
+    wide = search(oracle, [1.0], [1.0], 1.0, eta=0.4, min_step=lipschitz_cutoff(1.0))
+    narrow = search(oracle, [1.0], [1.0], 1.0, eta=0.4, min_step=lipschitz_cutoff(1e-3))
     assert wide.trial_count == 3
     assert narrow.trial_count == 13
     assert narrow.alpha == wide.alpha == 0.0
@@ -102,12 +95,11 @@ def test_accepted_step_satisfies_the_relaxed_decrease():
     x = np.array([3.0])
     d = np.array([-6.0])
     f_x = oracle.eval_f(x)
-    p = params_with(eta=0.3, eps_ls=1e-6)
-    out = backtrack(oracle, x, d, f_x, p, eps_k=1.0)
+    out = search(oracle, x, d, f_x, eta=0.3, eps_ls=1e-6)
     assert out.alpha > 0.0
     trial = oracle.eval_f(x + out.alpha * d)
     assert trial == out.accepted_f
-    assert trial < f_x - p.eta * out.alpha * float(d @ d) + p.eps_ls
+    assert trial < f_x - 0.3 * out.alpha * float(d @ d) + 1e-6
 
 
 def test_rejected_prefixes_really_fail_the_test():
@@ -116,21 +108,19 @@ def test_rejected_prefixes_really_fail_the_test():
     x = np.array([3.0])
     d = np.array([-6.0])
     f_x = oracle.eval_f(x)
-    p = params_with(eta=0.3, eps_ls=1e-6)
-    out = backtrack(oracle, x, d, f_x, p, eps_k=1.0)
-    j = int(round(np.log(out.alpha) / np.log(p.gamma)))
-    assert p.gamma ** j == out.alpha
+    out = search(oracle, x, d, f_x, eta=0.3, eps_ls=1e-6)
+    j = int(round(np.log(out.alpha) / np.log(0.5)))
+    assert 0.5 ** j == out.alpha
     for worse in range(j):
-        step = p.gamma ** worse
+        step = 0.5 ** worse
         trial = oracle.eval_f(x + step * d)
-        assert not (trial < f_x - p.eta * step * float(d @ d) + p.eps_ls)
+        assert not (trial < f_x - 0.3 * step * float(d @ d) + 1e-6)
 
 
 def test_slack_admits_a_rising_step():
     # f climbs from 0.01 to 0.36, well inside the eps_ls = 1 allowance.
     oracle = rising_oracle()
-    out = backtrack(oracle, np.array([0.1]), np.array([0.5]), 0.01,
-                    params_with(eta=1e-10, eps_ls=1.0), eps_k=1.0)
+    out = search(oracle, [0.1], [0.5], 0.01, eta=1e-10, eps_ls=1.0)
     assert out.alpha == 1.0
     assert out.trial_count == 1
     assert out.accepted_f == pytest.approx(0.36)
@@ -139,56 +129,39 @@ def test_slack_admits_a_rising_step():
 def test_sublevel_cap_rejects_otherwise_acceptable_steps():
     # The same step as above fails once f1_cap forbids values over 0.2.
     oracle = rising_oracle()
-    out = backtrack(oracle, np.array([0.1]), np.array([0.5]), 0.01,
-                    params_with(eta=1e-10, eps_ls=1.0, f1_cap=0.2), eps_k=1.0)
+    out = search(oracle, [0.1], [0.5], 0.01, eta=1e-10, eps_ls=1.0, f1_cap=0.2)
     assert out.alpha == 0.5
     assert out.accepted_f == pytest.approx(0.35 ** 2)
 
 
 def test_zero_direction_rejected():
     with pytest.raises(ValueError):
-        backtrack(linear_descent_oracle(), np.zeros(1), np.zeros(1), 0.0,
-                  params_with(), eps_k=1.0)
+        search(linear_descent_oracle(), [0.0], [0.0], 0.0)
 
 
 def test_nonpositive_radius_rejected():
+    # A zero radius makes the radius-scaled cutoff zero, and a search with
+    # no positive cutoff could backtrack forever.
+    assert lipschitz_cutoff(0.0) == 0.0
     with pytest.raises(ValueError):
-        backtrack(linear_descent_oracle(), np.zeros(1), np.ones(1), 0.0,
-                  params_with(), eps_k=0.0)
+        search(linear_descent_oracle(), [0.0], [1.0], 0.0, min_step=lipschitz_cutoff(0.0))
 
 
 class TestParamValidation:
+    """backtrack's own guard: the loop ends only for gamma in (0, 1) and a
+    positive cutoff. The other constants are checked by SolverParams."""
+
     def test_gamma_range(self):
-        with pytest.raises(ValueError):
-            params_with(gamma=1.0)
-        with pytest.raises(ValueError):
-            params_with(gamma=0.0)
-
-    def test_eta_range(self):
-        with pytest.raises(ValueError):
-            params_with(eta=0.5)
-        with pytest.raises(ValueError):
-            params_with(eta=-0.1)
-
-    def test_eps_ls_positive_finite(self):
-        with pytest.raises(ValueError):
-            params_with(eps_ls=0.0)
-        with pytest.raises(ValueError):
-            params_with(eps_ls=np.inf)
-
-    def test_f1_cap_rejects_nan(self):
-        with pytest.raises(ValueError):
-            params_with(f1_cap=np.nan)
+        for gamma in (0.0, 1.0, 1.5, np.nan):
+            with pytest.raises(ValueError):
+                search(linear_descent_oracle(), [0.0], [-1.0], 0.0, gamma=gamma)
 
     def test_cutoff_validation(self):
-        with pytest.raises(ValueError):
-            LipschitzCutoff(lipschitz=0.0)
-        with pytest.raises(ValueError):
-            LipschitzCutoff(lipschitz=1.0, eps_g=-1.0)
-        with pytest.raises(ValueError):
-            FloorCutoff(alpha_min=0.0)
-        with pytest.raises(ValueError):
-            FloorCutoff(alpha_min=1.0)
+        assert step_cutoff(SolverParams(), 1.0) == 1e-20
+        assert step_cutoff(SolverParams(alpha_min=1e-3, lipschitz=2.0), 1.0) == 0.5 / 6.0
+        for min_step in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                search(linear_descent_oracle(), [0.0], [-1.0], 0.0, min_step=min_step)
 
     def test_outcome_is_plain_data(self):
         out = LineSearchOutcome(alpha=0.5, trial_count=2, accepted_f=1.0)

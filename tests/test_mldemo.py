@@ -315,6 +315,14 @@ class TestAdaptiveOracle:
         assert g.shape == (151,)
         assert oracle.deterministic
 
+    def test_a_returned_gradient_is_a_copy(self, data):
+        oracle = bce_loss_oracle(data, BatchOracleConfig(mode="adaptive", eps_f=0.05))
+        w = init_weights(13, 10, seed=0)
+        g = oracle.eval_g(w)
+        kept = g.copy()
+        g[:] = 0.0
+        assert np.array_equal(oracle.eval_g(w), kept)
+
     def test_truth_access_sees_the_full_dataset(self, data):
         oracle = bce_loss_oracle(data, BatchOracleConfig(mode="adaptive", eps_f=0.5))
         w = init_weights(13, 10, seed=6)

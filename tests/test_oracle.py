@@ -11,7 +11,6 @@ from noisygs.oracle import (
     _word_to_uniform,
     clamp_ball,
     clamp_scalar,
-    estimate_diam_caveat,
     exact_oracle,
     keyed_ball,
     keyed_seed,
@@ -236,31 +235,3 @@ class TestClamps:
         anchor = np.array([1.0, 1.0])
         out = clamp_ball(anchor + np.array([0.3, 0.4]), anchor, 0.25)
         assert np.linalg.norm(out - anchor) <= 0.25
-
-
-class TestDiameterEstimate:
-    def test_constant_objective_has_zero_spread(self):
-        flat = exact_oracle(2, lambda x: 1.0, lambda x: np.zeros(2))
-        assert estimate_diam_caveat(flat, np.zeros(2), 0.5, 100) == 0.0
-
-    def test_kink_shows_the_full_jump(self):
-        absval = exact_oracle(1,
-                              lambda x: abs(float(x[0])),
-                              lambda x: np.array([1.0 if x[0] >= 0.0 else -1.0]))
-        diam = estimate_diam_caveat(absval, np.zeros(1), 0.5, 1000)
-        assert diam >= 1.99
-
-    def test_smooth_objective_spread_is_radius_bounded(self):
-        smooth = quadratic_oracle(3)
-        diam = estimate_diam_caveat(smooth, np.zeros(3), 0.1, 200)
-        assert diam <= 0.2 + 1e-12
-
-    def test_validation(self):
-        smooth = quadratic_oracle(2)
-        with pytest.raises(ValueError):
-            estimate_diam_caveat(smooth, np.zeros(2), 0.1, 1)
-        with pytest.raises(ValueError):
-            estimate_diam_caveat(smooth, np.zeros(2), 0.0, 10)
-        bare = OracleHandle(dims=2, eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(2))
-        with pytest.raises(ValueError):
-            estimate_diam_caveat(bare, np.zeros(2), 0.1, 10)

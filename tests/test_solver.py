@@ -171,6 +171,22 @@ class TestWarningsAndStrictness:
         with pytest.raises(ValueError, match="admissibility"):
             run(abs_oracle(), np.ones(1), SolverParams(strict_requires=True))
 
+    def test_eta_outside_the_interval_is_soft(self):
+        params = SolverParams(eta=0.6, budget=5)
+        with pytest.warns(RuntimeWarning, match="admissibility"):
+            res = run(abs_oracle(), np.ones(1), params)
+        assert len(res.history) > 0
+        assert any("eta = 0.6 lies outside (0, 1/2)" in w for w in res.warnings)
+        strict = SolverParams(eta=0.6, budget=5, strict_requires=True)
+        with pytest.raises(ValueError, match="eta = 0.6"):
+            run(abs_oracle(), np.ones(1), strict)
+
+    def test_nan_start_value_rejected(self):
+        oracle = OracleHandle(dims=1, eval_f=lambda x: math.nan,
+                              eval_g=lambda x: np.ones(1))
+        with pytest.raises(ValueError, match="NaN"):
+            run(oracle, np.ones(1), SolverParams(budget=5))
+
     def test_bad_start_point(self):
         with pytest.raises(ValueError):
             run(abs_oracle(), np.ones(2), SolverParams())
@@ -485,3 +501,11 @@ class TestParamConstruction:
             SolverParams(alpha_min=0.0)
         with pytest.raises(ValueError):
             SolverParams(eps_min=-1e-9)
+        # The line search's constants: its loop ends only for gamma in
+        # (0, 1), and the slack and the cutoff's bound must be usable numbers.
+        for key, values, text in (("gamma", (0.0, 1.0), r"gamma must lie in \(0, 1\)"),
+                                  ("lipschitz", (0.0, np.inf), "lipschitz must be positive"),
+                                  ("eps_ls", (0.0, np.inf), "eps_ls must be positive")):
+            for value in values:
+                with pytest.raises(ValueError, match=text):
+                    SolverParams(**{key: value})

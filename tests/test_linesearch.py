@@ -163,6 +163,12 @@ class TestParamValidation:
             with pytest.raises(ValueError):
                 search(linear_descent_oracle(), [0.0], [-1.0], 0.0, min_step=min_step)
 
+    def test_eps_ls_positive_finite(self):
+        # The slack backtrack receives is checked where it is set, in SolverParams.
+        for eps_ls in (0.0, np.inf):
+            with pytest.raises(ValueError, match="eps_ls must be positive"):
+                SolverParams(eps_ls=eps_ls)
+
     def test_outcome_is_plain_data(self):
         out = LineSearchOutcome(alpha=0.5, trial_count=2, accepted_f=1.0)
         assert (out.alpha, out.trial_count, out.accepted_f) == (0.5, 2, 1.0)

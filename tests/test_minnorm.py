@@ -1,5 +1,7 @@
 """Aggregation QP: known answers, invariants, and the optimality certificate."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,29 @@ class TestCertificate:
         cols = np.array([[-4000.0, 3000.0, 500.0], [90.0, -110.0, 4000.0]])
         sol = solve_min_norm(bundle_of(cols))
         assert np.linalg.norm(sol.aggregate) <= 1e-4
+
+
+class TestPinnedDigests:
+    # sha256 of every weight and aggregate byte, taken before the Wolfe loop
+    # was rewritten; any change to the arithmetic of the solve moves them.
+    DIGESTS = {
+        (2, 11, 40): "4b922596323504b238d0d7d2b4f539f25a5d26cde3057378d9213ac832fe7efa",
+        (151, 11, 10): "4bce904e65380399a807f8518cb78cee17182c9380b7623dfbceb4d6a03d3964",
+        (50, 51, 6): "a5c76925b03856474e701771f163732ca3a8a34f87b7a8920583ba59ff764ceb",
+    }
+
+    @pytest.mark.parametrize("n, c, count", list(DIGESTS))
+    def test_seeded_bundles_reproduce_their_bytes(self, n, c, count):
+        rng = np.random.default_rng(1000 * n + c)
+        digest = hashlib.sha256()
+        for _ in range(count):
+            shift = float(rng.choice([0.0, 0.5, 2.0]))
+            scale = float(rng.choice([1e-3, 1.0, 1e3]))
+            cols = scale * (rng.normal(size=(n, c)) + shift * rng.normal(size=(n, 1)))
+            sol = solve_min_norm(bundle_of(cols))
+            digest.update(sol.weights.tobytes())
+            digest.update(sol.aggregate.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[(n, c, count)]
 
 
 class TestValidation:

@@ -127,8 +127,14 @@ def _min_norm_weights(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
             break
         if j in corral:
             # The most violating column is already in the corral, so no
-            # further progress is possible; with the certificate still
-            # failing this is a numerical dead end.
+            # further progress is possible. If the corral's affine hull is
+            # all of R^n, its min-norm point is exactly zero and x only
+            # missed the certificate by roundoff; otherwise this is a
+            # numerical dead end.
+            S = P[:, corral]
+            if len(corral) > n and np.linalg.matrix_rank(S[:, 1:] - S[:, :1]) == n:
+                x = np.zeros(n)
+                break
             raise MinNormNonConvergence(
                 "min-norm aggregation stalled before reaching its certificate"
             )

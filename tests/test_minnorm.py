@@ -150,6 +150,27 @@ class TestCertificate:
         assert np.linalg.norm(sol.aggregate) <= 1e-4
 
 
+    def test_origin_inside_a_full_rank_corral_is_returned_exactly(self):
+        # Iteration 5 of `run --eps-f 1e-4 --seed 7`: gradients from both
+        # sides of the rosenbrock kink. The lstsq point of the final corral
+        # has norm ~3e-13, just short of the certificate floor, and the most
+        # violating column is already in the corral. The corral spans R^2,
+        # so zero is the exact optimum.
+        cols = np.array([
+            [-283.0934334800084, 274.6901804246911, -312.09270545317247, 242.69410592774156,
+             -274.1465184363168, -318.46110249195686, 262.52708271064563, 256.45925600128635,
+             -306.94014629263785, -291.00746142780633, 258.0593429539787],
+            [-99.99361499055007, 99.99748418518955, -99.99086380277718, 100.00350942085879,
+             -99.99902691023051, -99.99195053751339, 100.0055615593983, 100.00059678897223,
+             -99.99461044569269, -100.00905005435784, 100.00072920549235]])
+        sol = solve_min_norm(bundle_of(cols))
+        assert np.array_equal(sol.aggregate, np.zeros(2))
+        assert np.all(sol.weights >= 0.0)
+        assert abs(sol.weights.sum() - 1.0) <= 1e-12
+        assert np.count_nonzero(sol.weights) == 3
+        assert np.linalg.norm(cols @ sol.weights) <= 1e-9
+
+
 class TestPinnedDigests:
     # sha256 of every weight and aggregate byte, taken before the Wolfe loop
     # was rewritten; any change to the arithmetic of the solve moves them.

@@ -15,7 +15,16 @@ floor of a few machine epsilons times the largest squared column norm, which
 is the resolution the certificate can be evaluated to at all. The floor
 matters when the hull of large gradients contains the origin: the optimum is
 then exactly zero, and no float64 combination of 1e3-scale columns can cancel
-below roughly 1e-13.
+below roughly 1e-13. If the aggregation stalls there anyway (the most
+violating column is already in the corral) and the corral's affine hull is
+all of R^n, the exact optimum is zero and it is returned as such.
+
+The corral holds a handful of columns, so its weights are kept as a list of
+Python floats: per-cycle NumPy calls on arrays that small cost more than
+their arithmetic. Only the affine solve and the column scores use NumPy.
+Every weight update does the float operations of the array form in the
+same order, and sums follow NumPy's own order (sequential below 8 terms,
+pairwise from 8), so both forms give the same bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ DEFAULT_TOL = 1e-10
 
 # Corral weight below this counts as a vanished vertex.
 _ZERO_WEIGHT = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class MinNormNonConvergence(RuntimeError):
@@ -84,8 +94,18 @@ class QPSolution:
     aggregate: np.ndarray
 
 
-def _affine_solve(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min-norm point of the affine hull of S's columns, with coefficients.
+def _total(values: list) -> float:
+    """The sum numpy's add.reduce gives: in order below 8 terms, pairwise from 8."""
+    if len(values) >= 8:
+        return float(np.add.reduce(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _affine_solve(P: np.ndarray, corral: list) -> tuple[list, np.ndarray]:
+    """Min-norm point of the affine hull of the corral's columns, with coefficients.
 
     The constraint sum(v) = 1 is eliminated by anchoring on the first
     column: with D = S[:, 1:] - S[:, :1] the problem is the plain least
@@ -97,17 +117,14 @@ def _affine_solve(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     become unreachable. Differences keep only the part that varies, and
     lstsq handles affinely dependent corrals without a special case.
     """
-    r = S.shape[1]
-    base = S[:, 0]
-    if r == 1:
-        return np.ones(1), base.copy()
-    D = S[:, 1:] - base[:, np.newaxis]
+    base = P[:, corral[0]]
+    if len(corral) == 1:
+        return [1.0], base.copy()
+    D = P[:, corral[1:]] - base[:, np.newaxis]
     mu = np.linalg.lstsq(D, -base, rcond=None)[0]
     point = base + D @ mu
-    v = np.empty(r)
-    v[0] = 1.0 - mu.sum()
-    v[1:] = mu
-    return v, point
+    coefs = mu.tolist()
+    return [1.0 - _total(coefs)] + coefs, point
 
 
 def _min_norm_weights(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -115,14 +132,14 @@ def _min_norm_weights(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     cap = 50 * c
     sq = np.einsum("ij,ij->j", P, P)
     # Below this slack the certificate is fp noise, not information.
-    floor = 4.0 * np.finfo(float).eps * float(np.max(sq))
-    corral = [int(np.argmin(sq))]
-    w = np.ones(1)
+    floor = 4.0 * _EPS * float(sq.max())
+    corral = [int(sq.argmin())]
+    w = [1.0]
     x = P[:, corral[0]].copy()
     for _ in range(cap):
         xx = float(x @ x)
         scores = x @ P
-        j = int(np.argmin(scores))
+        j = int(scores.argmin())
         if scores[j] >= xx - max(tol * (1.0 + xx), floor):
             break
         if j in corral:
@@ -139,35 +156,35 @@ def _min_norm_weights(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
                 "min-norm aggregation stalled before reaching its certificate"
             )
         corral.append(j)
-        w = np.append(w, 0.0)
+        w.append(0.0)
         while True:
-            S = P[:, corral]
-            v, point = _affine_solve(S)
-            if np.all(v > _ZERO_WEIGHT):
+            v, point = _affine_solve(P, corral)
+            if all(vi > _ZERO_WEIGHT for vi in v):
                 x = point
                 w = v
                 break
-            shrinking = v <= _ZERO_WEIGHT
-            denom = w - v
-            safe = shrinking & (denom > 0.0)
-            if safe.any():
-                theta = min(1.0, float(np.min(w[safe] / denom[safe])))
-                w = (1.0 - theta) * w + theta * v
-                w[w < _ZERO_WEIGHT] = 0.0
+            # Minor cycle: walk from w toward v until the first shrinking
+            # weight reaches zero.
+            ratios = [wi / (wi - vi) for wi, vi in zip(w, v)
+                      if vi <= _ZERO_WEIGHT and wi - vi > 0.0]
+            if ratios:
+                theta = min(1.0, min(ratios))
+                w = [(1.0 - theta) * wi + theta * vi for wi, vi in zip(w, v)]
+                w = [0.0 if wi < _ZERO_WEIGHT else wi for wi in w]
             # A shrinking vertex with no usable ratio already carries zero
             # weight; either way, drop the lowest-index vanished vertex.
-            vanished = np.flatnonzero((w <= _ZERO_WEIGHT) & shrinking)
-            if vanished.size == 0:
-                vanished = np.flatnonzero(w <= _ZERO_WEIGHT)
-            if vanished.size == 0:
+            vanished = [i for i, (wi, vi) in enumerate(zip(w, v))
+                        if wi <= _ZERO_WEIGHT and vi <= _ZERO_WEIGHT]
+            if not vanished:
+                vanished = [i for i, wi in enumerate(w) if wi <= _ZERO_WEIGHT]
+            if not vanished:
                 raise MinNormNonConvergence(
                     "min-norm aggregation hit a degenerate corral"
                 )
-            drop = int(vanished[0])
-            del corral[drop]
-            w = np.delete(w, drop)
-            w = np.clip(w, 0.0, None)
-            w /= w.sum()
+            del corral[vanished[0]]
+            del w[vanished[0]]
+            total = _total(w)
+            w = [wi / total for wi in w]
     else:
         raise MinNormNonConvergence(
             f"min-norm aggregation missed its certificate within {cap} cycles"

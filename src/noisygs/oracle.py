@@ -104,9 +104,13 @@ def _canonical_bytes(x) -> bytes:
     return (np.asarray(x, dtype=np.float64) + 0.0).astype("<f8", copy=False).tobytes()
 
 
+def _key_suffix(seed: int, tag: bytes) -> bytes:
+    # A key is the canonical bytes of the point followed by this suffix.
+    return b"|" + tag + b"|" + str(int(seed)).encode()
+
+
 def _key_digest(seed: int, tag: bytes, x, size: int) -> bytes:
-    msg = _canonical_bytes(x) + b"|" + tag + b"|" + str(int(seed)).encode()
-    return hashlib.blake2b(msg, digest_size=size).digest()
+    return hashlib.blake2b(_canonical_bytes(x) + _key_suffix(seed, tag), digest_size=size).digest()
 
 
 def _keyed_rng(seed: int, tag: bytes, x) -> np.random.Generator:
@@ -162,10 +166,20 @@ def keyed_ball(seed: int, x, radius: float, dim: int, tag: bytes = b"g") -> Arra
         if nrm == 0.0:
             return np.zeros(dim)
         return direction * (radius * rng.random() ** (1.0 / dim) / nrm)
-    count = 2 * ((dim + 1) // 2) + 1
+    count = _ball_word_count(dim)
     words = struct.unpack(f"<{count}Q", _key_digest(seed, tag, x, 8 * count))
+    return np.array(_ball_from_words(words, radius, dim))
+
+
+def _ball_word_count(dim: int) -> int:
+    # ceil(dim / 2) Box-Muller word pairs plus one radial word.
+    return 2 * ((dim + 1) // 2) + 1
+
+
+def _ball_from_words(words, radius: float, dim: int) -> list:
+    """Turn _ball_word_count(dim) digest words into a point of the radius-ball."""
     gauss = []
-    for i in range(0, count - 1, 2):
+    for i in range(0, len(words) - 1, 2):
         # Box-Muller, with the first uniform shifted to (0, 1] so log stays finite.
         r = math.sqrt(-2.0 * math.log(_unit(words[i]) + _TWO_POW_M53))
         t = _TWO_PI * _unit(words[i + 1])
@@ -173,9 +187,28 @@ def keyed_ball(seed: int, x, radius: float, dim: int, tag: bytes = b"g") -> Arra
     del gauss[dim:]
     nrm = math.hypot(*gauss)
     if nrm == 0.0:
-        return np.zeros(dim)
+        return [0.0] * dim
     scale = radius * _unit(words[-1]) ** (1.0 / dim) / nrm
-    return np.array([g * scale for g in gauss])
+    return [g * scale for g in gauss]
+
+
+def _keyed_ball_rows(seed: int, points: Array, radius: float, tag: bytes) -> Array:
+    """keyed_ball at every row of a (k, dim) stack, dim <= _DIGEST_BALL_MAX_DIM.
+
+    The stack becomes canonical bytes once; each row's slice plus the key
+    suffix is the same message keyed_ball hashes for that row.
+    """
+    k, dim = points.shape
+    count = _ball_word_count(dim)
+    unpack = struct.Struct(f"<{count}Q").unpack
+    data = _canonical_bytes(points)
+    suffix = _key_suffix(seed, tag)
+    width = 8 * dim
+    rows = [_ball_from_words(unpack(hashlib.blake2b(data[i:i + width] + suffix,
+                                                    digest_size=8 * count).digest()),
+                             radius, dim)
+            for i in range(0, k * width, width)]
+    return np.array(rows, dtype=float).reshape(k, dim)
 
 
 def clamp_scalar(value: float, anchor: float, half_width: float) -> float:
@@ -232,5 +265,36 @@ def wrap_with_uniform_noise(exact: OracleHandle, bounds: NoiseBounds, noise_seed
             gx = np.asarray(_g(x), dtype=float)
             return clamp_ball(gx + keyed_ball(noise_seed, x, eps_g, n, b"g"), gx, eps_g)
 
+        if n <= _DIGEST_BALL_MAX_DIM:
+            noisy_g.many = _noisy_g_many(truth.g, eps_g, noise_seed)
+
     return OracleHandle(dims=n, eval_f=noisy_f, eval_g=noisy_g, truth_access=truth,
                         deterministic=True)
+
+
+def _noisy_g_many(truth_g: Callable[[Array], Array], eps_g: float, noise_seed: int):
+    """The noisy eval_g over a (k, n) stack, bit-identical to k single calls."""
+    truth_many = getattr(truth_g, "many", None)
+    # A squared norm below this is certainly inside the ball: the margin
+    # covers the rounding of any order of summation for n <= 6, so those
+    # rows are exactly the ones clamp_ball returns unchanged. Near the ends
+    # of the float range squares lose that accuracy, and every row is
+    # handed to clamp_ball.
+    inside = (eps_g * (1.0 - 1e-12)) ** 2
+    screen = 1e-280 < inside < 1e280
+
+    def many(points: Array) -> Array:
+        if truth_many is not None:
+            exact = np.asarray(truth_many(points), dtype=float)
+        else:
+            exact = np.empty(points.shape)
+            for i, point in enumerate(points):
+                exact[i] = truth_g(point)
+        out = exact + _keyed_ball_rows(noise_seed, points, eps_g, b"g")
+        delta = out - exact
+        sq = np.einsum("ij,ij->i", delta, delta)
+        for i in np.flatnonzero(~(sq < inside)) if screen else range(len(out)):
+            out[i] = clamp_ball(out[i], exact[i], eps_g)
+        return out
+
+    return many

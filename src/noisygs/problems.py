@@ -54,6 +54,14 @@ def rosenbrock_ns() -> tuple[OracleHandle, ProblemSpec]:
         t = y - 2.0 * x * x + 1.0
         return _branch(x, 1.0 if t >= 0.0 else -1.0)
 
+    def g_many(points):
+        # g at each row of a (k, 2) stack, with g's float operations in g's order.
+        x, y = points[:, 0], points[:, 1]
+        s = np.where(y - 2.0 * x * x + 1.0 >= 0.0, 1.0, -1.0)
+        return np.column_stack([-2.0 * (1.0 - x) - 400.0 * s * x, 100.0 * s])
+
+    g.many = g_many
+
     def subdiff(v):
         x, y = float(v[0]), float(v[1])
         t = y - 2.0 * x * x + 1.0

@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import noisygs.oracle
 from noisygs.oracle import (
+    _DIGEST_BALL_MAX_DIM,
     NoiseBounds,
     OracleHandle,
     _word_to_uniform,
@@ -17,6 +19,9 @@ from noisygs.oracle import (
     keyed_uniform,
     wrap_with_uniform_noise,
 )
+from noisygs.problems import rosenbrock_ns
+from noisygs.sampler import sample_ball
+from noisygs.solver import SolverParams, run
 
 
 def quadratic_oracle(dims: int) -> OracleHandle:
@@ -111,12 +116,19 @@ def test_bounds_validation():
         NoiseBounds(eps_g=np.inf)
 
 
+def per_row(oracle: OracleHandle, points: np.ndarray) -> np.ndarray:
+    return np.stack([np.asarray(oracle.eval_g(p), dtype=float) for p in points])
+
+
 class TestEvalGMany:
     def test_without_a_batch_it_stacks_eval_g(self):
-        noisy = wrap_with_uniform_noise(quadratic_oracle(3), NoiseBounds(0.1, 0.05), noise_seed=1)
-        points = np.random.default_rng(2).normal(size=(5, 3))
+        dims = _DIGEST_BALL_MAX_DIM + 1
+        noisy = wrap_with_uniform_noise(quadratic_oracle(dims), NoiseBounds(0.1, 0.05),
+                                        noise_seed=1)
+        assert not hasattr(noisy.eval_g, "many")
+        points = np.random.default_rng(2).normal(size=(5, dims))
         many = noisy.eval_g_many(points)
-        assert many.shape == (5, 3)
+        assert many.shape == (5, dims)
         assert np.array_equal(many, np.stack([noisy.eval_g(p) for p in points]))
 
     def test_a_batch_on_eval_g_is_used_and_travels_with_it(self):
@@ -145,6 +157,70 @@ class TestEvalGMany:
         assert np.array_equal(rebuilt.eval_g_many(points), 2.0 * points)
         assert len(calls) == 4
         assert batches == [(4, 2)]
+
+
+    @pytest.mark.parametrize("dims", [1, 2, 6])
+    def test_wrapped_batch_is_bitwise_the_per_row_path(self, dims):
+        noisy = wrap_with_uniform_noise(quadratic_oracle(dims), NoiseBounds(0.1, 0.05),
+                                        noise_seed=3)
+        assert hasattr(noisy.eval_g, "many")
+        rng = np.random.default_rng(dims)
+        for k, radius in enumerate([1.0, 1e-3, 1e-6, 1e-9, 1e-12], start=1):
+            center = rng.normal(size=dims)
+            points = np.vstack([center, sample_ball(center, radius, 10, 0, k)])
+            assert noisy.eval_g_many(points).tobytes() == per_row(noisy, points).tobytes()
+        zeros = np.array([[-0.0] * dims, [0.0] * dims, [-0.0] + [1.0] * (dims - 1)])
+        batch = noisy.eval_g_many(zeros)
+        assert batch.tobytes() == per_row(noisy, zeros).tobytes()
+        assert np.array_equal(batch[0], batch[1])
+
+    def test_rosenbrock_batches_match_per_row_with_and_without_noise(self):
+        exact, _ = rosenbrock_ns()
+        rng = np.random.default_rng(8)
+        # Rows on both sides of the kink y = 2x^2 - 1, and one on it.
+        points = np.vstack([rng.normal(size=(10, 2)), [[1.0, 1.0], [-0.0, -1.0]]])
+        assert exact.eval_g_many(points).tobytes() == per_row(exact, points).tobytes()
+        for eps_f in (0.1, 1e-4):
+            noisy = wrap_with_uniform_noise(exact, NoiseBounds(eps_f, eps_f ** 0.5), noise_seed=2)
+            assert noisy.eval_g_many(points).tobytes() == per_row(noisy, points).tobytes()
+
+    def test_rows_that_need_the_clamp_take_it(self, monkeypatch):
+        # At gradients of 1e3 a 1e-12 ball is a few ulps wide, so adding the
+        # noise can round a row out of the ball; the last two rows are such
+        # rows (found by search), the others stay inside.
+        hits = []
+        real = noisygs.oracle.clamp_ball
+
+        def counting(value, anchor, radius):
+            out = real(value, anchor, radius)
+            hits.append(not np.array_equal(out, value))
+            return out
+
+        monkeypatch.setattr(noisygs.oracle, "clamp_ball", counting)
+        exact = exact_oracle(2, lambda x: 0.0,
+                             lambda x: np.array([1e-3 * x[0], 1e3 * x[1]]))
+        noisy = wrap_with_uniform_noise(exact, NoiseBounds(eps_g=1e-12), noise_seed=0)
+        points = np.vstack([np.random.default_rng(5).normal(size=(16, 2)),
+                            [[-0.22329559977220623, 0.7240192298296324],
+                             [0.0703055101868928, 0.23085449610631834]]])
+        batch = noisy.eval_g_many(points)
+        assert hits == [True, True]
+        assert batch.tobytes() == per_row(noisy, points).tobytes()
+        assert hits.count(True) == 4
+        exact_rows = np.stack([exact.eval_g(p) for p in points])
+        assert np.all(np.linalg.norm(batch - exact_rows, axis=1) <= 1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_truth_gradient_reaches_the_bundle_check(self):
+        exact = exact_oracle(2, lambda x: float(np.asarray(x) @ np.asarray(x)),
+                             lambda x: np.array([np.nan, 1.0]))
+        noisy = wrap_with_uniform_noise(exact, NoiseBounds(0.1, 0.1), noise_seed=0)
+        points = np.random.default_rng(1).normal(size=(4, 2))
+        batch = noisy.eval_g_many(points)
+        assert np.array_equal(batch, per_row(noisy, points), equal_nan=True)
+        assert np.all(np.isnan(batch[:, 0]))
+        with pytest.raises(ValueError, match="bundle columns must be finite"):
+            run(noisy, np.array([1.0, 1.0]), SolverParams(budget=3))
 
 
 class TestKeyedFields:

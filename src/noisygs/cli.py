@@ -431,8 +431,11 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
             eps1=float(params.get("eps1", _DEFAULTS.eps1)),
             lipschitz=float(lipschitz) if lipschitz is not None else None,
             lipschitz_min_step=ns.min_step)
-        eps_g = run_params.bounds.eps_g
         eps_ls = float(params["eps_ls"])
+    except (ValueError, TypeError) as exc:
+        return _fail_run_dir(f"{meta_path} holds invalid run parameters: {exc}")
+    eps_g = run_params.bounds.eps_g
+    try:
         records = _parse_history(hist_path, run_params.nu, eps_g)
     except (OSError, ValueError, TypeError) as exc:
         return _fail_run_dir(f"cannot parse {hist_path}: {exc}")
@@ -523,17 +526,19 @@ def cmd_train(ns: argparse.Namespace, parser: _Parser) -> int:
             bounds = NoiseBounds()
     except ValueError as exc:
         parser.error(str(exc))
+    # Every arm is built before the first one trains, so a bad value late in
+    # the grid is a usage error with no CSV written.
+    try:
+        oracle_config = BatchOracleConfig(mode=mode, batch_size=opts["batch"],
+                                          eps_f=opts["eps_f"],
+                                          resample_seed=opts["noise_seed"])
+        arms = [(eps_ls, bce_loss_oracle(data, oracle_config, hidden),
+                 _solver_params(opts, eps_ls, bounds, opts["seed"])) for eps_ls in grid]
+    except ValueError as exc:
+        parser.error(str(exc))
     summary_rows = []
     worst = EXIT_OK
-    for eps_ls in grid:
-        try:
-            oracle_config = BatchOracleConfig(mode=mode, batch_size=opts["batch"],
-                                              eps_f=opts["eps_f"],
-                                              resample_seed=opts["noise_seed"])
-            oracle = bce_loss_oracle(data, oracle_config, hidden)
-            params = _solver_params(opts, eps_ls, bounds, opts["seed"])
-        except ValueError as exc:
-            parser.error(str(exc))
+    for eps_ls, oracle, params in arms:
         truth = oracle.truth_access
         observed: dict[int, dict] = {}
 

@@ -287,6 +287,22 @@ class TestVerify:
         (broken / "run.json").write_text('{"status": "Stationary", "params": {}}')
         assert call("verify", broken) == 65
 
+    @pytest.mark.parametrize("key,value,text", [("gamma", 1.0, "gamma must lie in (0, 1)"),
+                                                ("eps1", 0.0, "eps1 must be positive")])
+    def test_bad_parameter_in_run_json_is_reported_against_run_json(
+            self, key, value, text, stationary_dir, tmp_path, capsys):
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        (edited / "history.csv").write_bytes((stationary_dir / "history.csv").read_bytes())
+        meta = read_json(stationary_dir / "run.json")
+        meta["params"][key] = value
+        (edited / "run.json").write_text(json.dumps(meta))
+        assert call("verify", edited) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited / 'run.json'} holds invalid run parameters: ")
+        assert text in err
+        assert "history.csv" not in err
+
 
 def run_capturing(monkeypatch, *argv):
     """Run the CLI and return the RunResult its `run` subcommand computed."""
@@ -539,6 +555,13 @@ class TestTrain:
                                                        capsys):
         assert call("train", flag, value, "--budget", "2", "--out", out_dir) == 64
         assert text in capsys.readouterr().err
+
+    def test_a_bad_value_late_in_the_grid_trains_no_arm(self, out_dir, capsys):
+        code = call("train", "--eps-ls-grid", "0.1,inf", "--num-points", "256",
+                    "--budget", "2", "--out", out_dir)
+        assert code == 64
+        assert "eps_ls must be" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

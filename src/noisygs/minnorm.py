@@ -108,9 +108,9 @@ def _affine_solve(P: np.ndarray, corral: list) -> tuple[list, np.ndarray]:
     """Min-norm point of the affine hull of the corral's columns, with coefficients.
 
     The constraint sum(v) = 1 is eliminated by anchoring on the first
-    column: with D = S[:, 1:] - S[:, :1] the problem is the plain least
-    squares min |S[:, 0] + D mu|, solved by lstsq, and the point is read
-    off the residual. Working on column differences matters. Forming the
+    column: with S the corral's columns and D = S[:, 1:] - S[:, :1] the
+    problem is the plain least squares min |S[:, 0] + D mu|, solved by
+    lstsq, and the point is read off the residual. Working on column differences matters. Forming the
     KKT normal equations squares the column magnitudes, and on bundles of
     near-duplicate large gradients (both branches of a kink, say) that
     cancellation costs enough digits that the optimality certificate can

@@ -149,7 +149,6 @@ class TestCertificate:
         sol = solve_min_norm(bundle_of(cols))
         assert np.linalg.norm(sol.aggregate) <= 1e-4
 
-
     def test_origin_inside_a_full_rank_corral_is_returned_exactly(self):
         # Iteration 5 of `run --eps-f 1e-4 --seed 7`: gradients from both
         # sides of the rosenbrock kink. The lstsq point of the final corral
@@ -172,8 +171,8 @@ class TestCertificate:
 
 
 class TestPinnedDigests:
-    # sha256 of every weight and aggregate byte, taken before the Wolfe loop
-    # was rewritten; any change to the arithmetic of the solve moves them.
+    # sha256 of every weight and aggregate byte of seeded bundles; any change
+    # to the arithmetic of the solve moves them.
     DIGESTS = {
         (2, 11, 40): "4b922596323504b238d0d7d2b4f539f25a5d26cde3057378d9213ac832fe7efa",
         (151, 11, 10): "4bce904e65380399a807f8518cb78cee17182c9380b7623dfbceb4d6a03d3964",

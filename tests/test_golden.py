@@ -56,6 +56,49 @@ TRAIN_DIGESTS = {
 }
 
 
+# `run` on the noisy problems whose gradients take the other paths through the
+# noise wrapper: max_linear at n = 4 (one batch of noisy gradients over
+# per-row truth) and n = 9 (one noisy gradient per row), and abs_composite
+# (value noise and a noisy phi sign inside the problem). The piece files are
+# written by max_linear_pieces and named relative to the working directory.
+NOISY_RUNS = {
+    "max_linear_4": ["--problem", "max_linear:pieces.txt", "--eps-f", "1e-3",
+                     "--seed", "0", "--budget", "150"],
+    "max_linear_9": ["--problem", "max_linear:pieces.txt", "--eps-f", "1e-3",
+                     "--seed", "0", "--budget", "150"],
+    "abs_composite": ["--problem", "abs_composite", "--eps-f", "1e-2",
+                      "--seed", "0", "--budget", "150"],
+}
+
+NOISY_RUN_DIGESTS = {
+    "max_linear_4": {
+        "history.csv": "f211565032f6eb450244dd3dac7a497d67168afa539d077bdcec2a062357fbc2",
+        "run.json": "c3151cd190a83f5d512dee9317ab2f3072695f7ac46fe8f8ceba5a3afa54ccc9",
+    },
+    "max_linear_9": {
+        "history.csv": "f572c311b1ad96dea14d7e891ad457357555cd42dd704483845403524db62f87",
+        "run.json": "a32b642524e204cf5d8cde1d54fa6c7efee90dc56f2d3e938064df71bfab8262",
+    },
+    "abs_composite": {
+        "history.csv": "64577c5b2ea0359ab7185d8064eb74c43c44e8a610b90c65112588e1f22fd7dc",
+        "run.json": "88b315149def4642797b0be5fc26ba7ab0d1342a87a2ec4262477342e29d0d7b",
+        "trajectory.csv": "af34eb90e737c1a70fc63ea0e654c0ab34084bb3fae972e2a9885f136b67de40",
+    },
+}
+
+
+def max_linear_pieces(n: int) -> str:
+    """(j + 1) |x_j| - j / 2 for each coordinate, and sum(x) + 1/4."""
+    rows = []
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            a = [0.0] * n
+            a[j] = sign * (j + 1)
+            rows.append(a + [-0.5 * j])
+    rows.append([1.0] * n + [0.25])
+    return "".join(" ".join(f"{v:g}" for v in row) + "\n" for row in rows)
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -106,3 +149,13 @@ def train_dirs(tmp_path_factory):
 @pytest.mark.parametrize("mode,name", sorted(TRAIN_DIGESTS))
 def test_train_files_match_their_digests(train_dirs, mode, name):
     assert sha256(train_dirs / mode / name) == TRAIN_DIGESTS[(mode, name)]
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_RUNS))
+def test_noisy_run_files_match_their_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if name.startswith("max_linear_"):
+        (tmp_path / "pieces.txt").write_text(max_linear_pieces(int(name.rsplit("_", 1)[1])))
+    assert cli.main(["run", *NOISY_RUNS[name], "--out", "run"]) == 0
+    digests = {path.name: sha256(path) for path in sorted((tmp_path / "run").iterdir())}
+    assert digests == NOISY_RUN_DIGESTS[name]

@@ -32,6 +32,16 @@ def test_all_points_inside_the_closed_ball():
         assert np.all(dists <= radius)
 
 
+def test_radius_below_the_centers_ulp_stays_inside():
+    # One ulp of 1e16 is 2. An offset rounds onto the center or a whole ulp
+    # away, and at radius 1.5 a pulled-back point rounds out again, so those
+    # points end up on the center itself.
+    center = np.array([1e16, -1e16])
+    for radius in (0.5, 1.5):
+        s = sample_ball(center, radius, 50, master_seed=2, stream_id=1)
+        assert np.all(np.linalg.norm(s - center, axis=1) <= radius)
+
+
 def test_zero_radius_collapses_to_center():
     center = np.array([3.0, 4.0])
     s = sample_ball(center, 0.0, 10, master_seed=1, stream_id=0)

@@ -423,14 +423,11 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
     if not isinstance(params, dict) or any(key not in params for key in _REQUIRED_PARAM_KEYS):
         return _fail_run_dir(f"{meta_path} lacks the run parameters")
     try:
-        lipschitz = params.get("lipschitz")
+        flags = {key: convert(params.get(key, default))
+                 for key, (default, convert) in _SOLVER_KEYS.items() if key in SOLVER_FLAGS}
         run_params = SolverParams(
             bounds=NoiseBounds(eps_f=float(params["eps_f"]), eps_g=float(params["eps_g"])),
-            theta=float(params["theta"]), gamma=float(params["gamma"]),
-            eta=float(params["eta"]), nu=float(params["nu"]),
-            eps1=float(params.get("eps1", _DEFAULTS.eps1)),
-            lipschitz=float(lipschitz) if lipschitz is not None else None,
-            lipschitz_min_step=ns.min_step)
+            lipschitz_min_step=ns.min_step, **flags)
         eps_ls = float(params["eps_ls"])
     except (ValueError, TypeError) as exc:
         return _fail_run_dir(f"{meta_path} holds invalid run parameters: {exc}")

@@ -258,9 +258,9 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
 
     Truth access always evaluates the full dataset and remembers its last
     point, so reporting f and g at an iterate that did not move costs no
-    second full-data pass. The handle's meta dict carries the mode;
-    adaptive mode additionally tracks samples_total (sum of rows used per
-    distinct query point) and last_used there. Fixed mode rejects batch
+    second full-data pass. In fixed mode the handle's meta dict holds the
+    batch state; in adaptive mode it tracks samples_total (sum of rows used
+    per distinct query point) and last_used. Fixed mode rejects batch
     sizes above the dataset size and is flagged as not deterministic, since
     the same w can see different batches; its eval_g carries a stacked
     `many` that evaluates a whole gradient bundle on the last batch.
@@ -276,17 +276,15 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
         return loss_and_grad(w, X, y, hidden)[1]
 
     truth = TruthAccess(f=_last_point_memo(full_f), g=_last_point_memo(full_g))
-    meta = {"mode": config.mode, "hidden": hidden}
 
     if config.mode == "full":
         return OracleHandle(dims=dims, eval_f=full_f, eval_g=full_g, truth_access=truth,
-                            deterministic=True, meta=meta)
+                            deterministic=True)
 
     if config.mode == "fixed":
         if config.batch_size > X.shape[0]:
             raise ValueError("batch_size exceeds the dataset size")
         state: dict = {"counter": 0, "batch": None}
-        meta["state"] = state
         # One generator for the oracle's lifetime; its position is the
         # iteration counter, so the batch sequence is a pure function of
         # resample_seed while each draw stays cheap.
@@ -313,10 +311,9 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
         fixed_g.many = lambda points: _logits_and_grads(points, *last_batch(), hidden)[1]
 
         return OracleHandle(dims=dims, eval_f=fixed_f, eval_g=fixed_g, truth_access=truth,
-                            deterministic=False, meta=meta)
+                            deterministic=False, meta={"state": state})
 
-    meta["samples_total"] = 0
-    meta["last_used"] = 0
+    meta = {"samples_total": 0, "last_used": 0}
     cache: dict = {"key": None, "value": None}
 
     def adaptive(w):

@@ -8,6 +8,11 @@ analysis assumes (a fixed corrupted function, not a stochastic one).
 
 Determinism comes from keying a pseudo-random function on the bytes of x:
 no state is carried between calls, so evaluation order is irrelevant.
+
+The bounds hold exactly in floating point. Adding noise can round a value
+past its bound, so perturb_value holds a value to its interval with
+clamp_scalar, and clamp_ball holds each gradient (and each of the sampler's
+points) to its closed ball.
 """
 
 from __future__ import annotations
@@ -46,14 +51,12 @@ class NoiseBounds:
 class TruthAccess:
     """Exact evaluators, used for verification and reporting only.
 
-    f returns the exact value, g one valid subgradient. subdiff, when
-    available, returns a matrix whose rows generate the convex hull of the
-    full subdifferential at x. The solver never steps on any of these.
+    f returns the exact value, g one valid subgradient. The solver never
+    steps on either.
     """
 
     f: Callable[[Array], float]
     g: Callable[[Array], Array]
-    subdiff: Optional[Callable[[Array], Array]] = None
 
 
 @dataclass(frozen=True)
@@ -92,11 +95,10 @@ class OracleHandle:
         return out
 
 
-def exact_oracle(dims: int, f: Callable[[Array], float], g: Callable[[Array], Array],
-                 subdiff: Optional[Callable[[Array], Array]] = None) -> OracleHandle:
+def exact_oracle(dims: int, f: Callable[[Array], float], g: Callable[[Array], Array]) -> OracleHandle:
     """Package exact callables as a noise-free oracle with truth attached."""
     return OracleHandle(dims=int(dims), eval_f=f, eval_g=g,
-                        truth_access=TruthAccess(f=f, g=g, subdiff=subdiff))
+                        truth_access=TruthAccess(f=f, g=g))
 
 
 def _canonical_bytes(x) -> bytes:
@@ -223,15 +225,35 @@ def clamp_scalar(value: float, anchor: float, half_width: float) -> float:
 
 
 def clamp_ball(value: Array, anchor: Array, radius: float) -> Array:
-    """Force ||value - anchor||_2 <= radius exactly in floating point."""
-    delta = value - anchor
-    dist = float(np.linalg.norm(delta))
-    while dist > radius:
-        delta = delta * ((radius / dist) * (1.0 - 1e-14))
-        value = anchor + delta
-        delta = value - anchor
-        dist = float(np.linalg.norm(delta))
-    return value
+    """Force ||row - anchor||_2 <= radius exactly in floating point, row by row.
+
+    value is one point or a (k, n) stack; anchor broadcasts against it.
+    Rounding can leave a row just outside the closed ball, so each such row
+    is pulled toward its anchor, at most 4 times, to (1 - 1e-13) of the
+    radius. A row still outside (one ulp of the anchor can exceed the radius)
+    becomes its anchor. value itself comes back when no row lies outside.
+    """
+    rows = np.atleast_2d(value)
+    out = rows
+    for pull in range(5):
+        delta = out - anchor
+        dist = np.linalg.norm(delta, axis=-1)
+        bad = dist > radius
+        if not bad.any():
+            break
+        if out is rows:
+            out = rows.copy()
+        anchors = np.broadcast_to(anchor, out.shape)[bad]
+        if pull == 4:
+            out[bad] = anchors
+        else:
+            out[bad] = anchors + delta[bad] * ((radius / dist[bad]) * (1.0 - 1e-13))[:, None]
+    return value if out is rows else out.reshape(np.shape(value))
+
+
+def perturb_value(value: float, seed: int, x, half_width: float, tag: bytes) -> float:
+    """value plus keyed uniform noise on [-half_width, half_width], held to the bound."""
+    return clamp_scalar(value + keyed_uniform(seed, x, half_width, tag), value, half_width)
 
 
 def wrap_with_uniform_noise(exact: OracleHandle, bounds: NoiseBounds, noise_seed: int) -> OracleHandle:
@@ -255,8 +277,7 @@ def wrap_with_uniform_noise(exact: OracleHandle, bounds: NoiseBounds, noise_seed
         noisy_f = truth.f
     else:
         def noisy_f(x, _f=truth.f):
-            fx = float(_f(x))
-            return clamp_scalar(fx + keyed_uniform(noise_seed, x, eps_f, b"f"), fx, eps_f)
+            return perturb_value(float(_f(x)), noise_seed, x, eps_f, b"f")
 
     if eps_g == 0.0:
         noisy_g = truth.g
@@ -273,15 +294,11 @@ def wrap_with_uniform_noise(exact: OracleHandle, bounds: NoiseBounds, noise_seed
 
 
 def _noisy_g_many(truth_g: Callable[[Array], Array], eps_g: float, noise_seed: int):
-    """The noisy eval_g over a (k, n) stack, bit-identical to k single calls."""
+    """The noisy eval_g over a (k, n) stack, bit-identical to k single calls.
+
+    clamp_ball treats every row of the stack as it treats the same row alone.
+    """
     truth_many = getattr(truth_g, "many", None)
-    # A squared norm below this is certainly inside the ball: the margin
-    # covers the rounding of any order of summation for n <= 6, so those
-    # rows are exactly the ones clamp_ball returns unchanged. Near the ends
-    # of the float range squares lose that accuracy, and every row is
-    # handed to clamp_ball.
-    inside = (eps_g * (1.0 - 1e-12)) ** 2
-    screen = 1e-280 < inside < 1e280
 
     def many(points: Array) -> Array:
         if truth_many is not None:
@@ -290,11 +307,6 @@ def _noisy_g_many(truth_g: Callable[[Array], Array], eps_g: float, noise_seed: i
             exact = np.empty(points.shape)
             for i, point in enumerate(points):
                 exact[i] = truth_g(point)
-        out = exact + _keyed_ball_rows(noise_seed, points, eps_g, b"g")
-        delta = out - exact
-        sq = np.einsum("ij,ij->i", delta, delta)
-        for i in np.flatnonzero(~(sq < inside)) if screen else range(len(out)):
-            out[i] = clamp_ball(out[i], exact[i], eps_g)
-        return out
+        return clamp_ball(exact + _keyed_ball_rows(noise_seed, points, eps_g, b"g"), exact, eps_g)
 
     return many

@@ -17,9 +17,8 @@ from .oracle import (
     NoiseBounds,
     OracleHandle,
     TruthAccess,
-    clamp_scalar,
     exact_oracle,
-    keyed_uniform,
+    perturb_value,
     wrap_with_uniform_noise,
 )
 
@@ -62,19 +61,12 @@ def rosenbrock_ns() -> tuple[OracleHandle, ProblemSpec]:
 
     g.many = g_many
 
-    def subdiff(v):
-        x, y = float(v[0]), float(v[1])
-        t = y - 2.0 * x * x + 1.0
-        if t == 0.0:
-            return np.stack([_branch(x, 1.0), _branch(x, -1.0)])
-        return _branch(x, 1.0 if t > 0.0 else -1.0)[None, :]
-
     spec = ProblemSpec(
         name="rosenbrock",
         dims=2,
         default_start=np.array([-1.2, 1.0]),
     )
-    return exact_oracle(2, f, g, subdiff), spec
+    return exact_oracle(2, f, g), spec
 
 
 def abs_composite(phi: Callable[[float], float], dphi: Callable[[float], float],
@@ -100,28 +92,11 @@ def abs_composite(phi: Callable[[float], float], dphi: Callable[[float], float],
         s = 1.0 if phi(x) >= 0.0 else -1.0
         return np.array([s * float(dphi(x))])
 
-    def subdiff(v):
-        x = float(v[0])
-        p = phi(x)
-        d = float(dphi(x))
-        if p == 0.0:
-            return np.array([[d], [-d]])
-        s = 1.0 if p > 0.0 else -1.0
-        return np.array([[s * d]])
-
     def phi_noisy(v):
-        p = float(phi(float(v[0])))
-        if noise_bound == 0.0:
-            return p
-        return clamp_scalar(p + keyed_uniform(noise_seed, v, noise_bound, b"phi"),
-                            p, noise_bound)
+        return perturb_value(float(phi(float(v[0]))), noise_seed, v, noise_bound, b"phi")
 
     def f_noisy(v):
-        fx = f_true(v)
-        if noise_bound == 0.0:
-            return fx
-        return clamp_scalar(fx + keyed_uniform(noise_seed, v, noise_bound, b"f"),
-                            fx, noise_bound)
+        return perturb_value(f_true(v), noise_seed, v, noise_bound, b"f")
 
     def g_noisy(v):
         p = phi_noisy(v)
@@ -133,15 +108,13 @@ def abs_composite(phi: Callable[[float], float], dphi: Callable[[float], float],
         return np.array([d])
 
     return OracleHandle(dims=1, eval_f=f_noisy, eval_g=g_noisy,
-                        truth_access=TruthAccess(f=f_true, g=g_true, subdiff=subdiff))
+                        truth_access=TruthAccess(f=f_true, g=g_true))
 
 
 def max_of_linear(A, b) -> tuple[OracleHandle, ProblemSpec]:
     """Polyhedral objective f(x) = max_i (a_i . x + b_i).
 
-    The subgradient selection returns the row of the first maximizing index;
-    the full subdifferential at x is the convex hull of all active rows,
-    exposed through truth access.
+    The subgradient selection returns the row of the first maximizing index.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -160,19 +133,13 @@ def max_of_linear(A, b) -> tuple[OracleHandle, ProblemSpec]:
         vals = A @ x + b
         return A[int(np.argmax(vals))].copy()
 
-    def subdiff(x):
-        vals = A @ x + b
-        top = float(np.max(vals))
-        active = vals >= top - 1e-12 * (1.0 + abs(top))
-        return A[active].copy()
-
     spec = ProblemSpec(
         name="max_linear",
         dims=n,
         default_start=np.zeros(n),
         lipschitz_hint=float(np.max(np.linalg.norm(A, axis=1))),
     )
-    return exact_oracle(n, f, g, subdiff), spec
+    return exact_oracle(n, f, g), spec
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .oracle import clamp_ball
+
 
 def iteration_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     """Independent generator for one iteration's draws.
@@ -30,7 +32,9 @@ def ball_points(rng: np.random.Generator, center, radius: float, count: int) -> 
 
     Direction is a normalized Gaussian vector, the radial factor is
     radius * U**(1/n). Membership in the closed ball is a hard guarantee,
-    not an approximate one; see the pull-back loop below.
+    not an approximate one: oracle.clamp_ball pulls back any point that
+    rounding left outside, and a point it cannot pull back becomes the
+    center.
     """
     center = np.asarray(center, dtype=float)
     if center.ndim != 1:
@@ -46,21 +50,7 @@ def ball_points(rng: np.random.Generator, center, radius: float, count: int) -> 
     norms = np.linalg.norm(directions, axis=1)
     norms[norms == 0.0] = 1.0
     radii = radius * rng.random(count) ** (1.0 / n)
-    points = center + directions * (radii / norms)[:, None]
-    # Rounding can spill a point one ulp outside the ball; pull those back.
-    for _ in range(4):
-        delta = points - center
-        dist = np.linalg.norm(delta, axis=1)
-        bad = dist > radius
-        if not bad.any():
-            return points
-        shrink = (radius / dist[bad]) * (1.0 - 1e-13)
-        points[bad] = center + delta[bad] * shrink[:, None]
-    # Radius below one ulp of the center cannot hold any offset at all.
-    delta = points - center
-    dist = np.linalg.norm(delta, axis=1)
-    points[dist > radius] = center
-    return points
+    return clamp_ball(center + directions * (radii / norms)[:, None], center, radius)
 
 
 def sample_ball(center, radius: float, count: int, master_seed: int, stream_id: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from noisygs.problems import abs_composite, load_problem, max_of_linear
 from noisygs.sampler import sample_ball
 from noisygs.solver import SolverParams, run
 from noisygs.stationarity import estimate_goldstein
-from noisygs.testkit import (files_identical, ks_critical_1pct, ks_statistic,
+from testkit import (files_identical, ks_critical_1pct, ks_statistic,
                              simplex_grid_min_norm)
 
 pytestmark = [

@@ -15,7 +15,7 @@ import pytest
 
 from noisygs import cli, solver
 from noisygs.minnorm import MinNormNonConvergence
-from noisygs.testkit import files_identical
+from testkit import files_identical
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore:admissibility violations"),

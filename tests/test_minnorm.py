@@ -12,7 +12,7 @@ from noisygs.minnorm import (
     QPSolution,
     solve_min_norm,
 )
-from noisygs.testkit import simplex_grid_min_norm
+from testkit import simplex_grid_min_norm
 
 
 def bundle_of(columns) -> GradientBundle:

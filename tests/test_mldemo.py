@@ -16,7 +16,7 @@ from noisygs.mldemo import (
     synth_dataset,
     weight_count,
 )
-from noisygs.testkit import finite_diff_grad
+from testkit import finite_diff_grad
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Noise wrapping: exact bound enforcement, determinism, and keying."""
 
 import dataclasses
+import signal
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ def test_bounds_validation():
         NoiseBounds(eps_g=np.inf)
 
 
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 20 s rather than let it hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def per_row(oracle: OracleHandle, points: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(oracle.eval_g(p), dtype=float) for p in points])
 
@@ -187,7 +201,8 @@ class TestEvalGMany:
     def test_rows_that_need_the_clamp_take_it(self, monkeypatch):
         # At gradients of 1e3 a 1e-12 ball is a few ulps wide, so adding the
         # noise can round a row out of the ball; the last two rows are such
-        # rows (found by search), the others stay inside.
+        # rows (found by search), the others stay inside. The batch clamps
+        # its whole stack in one call, the per-row path row by row.
         hits = []
         real = noisygs.oracle.clamp_ball
 
@@ -204,9 +219,9 @@ class TestEvalGMany:
                             [[-0.22329559977220623, 0.7240192298296324],
                              [0.0703055101868928, 0.23085449610631834]]])
         batch = noisy.eval_g_many(points)
-        assert hits == [True, True]
+        assert hits == [True]
         assert batch.tobytes() == per_row(noisy, points).tobytes()
-        assert hits.count(True) == 4
+        assert hits.count(True) == 3
         exact_rows = np.stack([exact.eval_g(p) for p in points])
         assert np.all(np.linalg.norm(batch - exact_rows, axis=1) <= 1e-12)
 
@@ -311,3 +326,35 @@ class TestClamps:
         anchor = np.array([1.0, 1.0])
         out = clamp_ball(anchor + np.array([0.3, 0.4]), anchor, 0.25)
         assert np.linalg.norm(out - anchor) <= 0.25
+
+    def test_ball_clamps_each_row_of_a_stack(self):
+        anchor = np.array([1.0, 1.0])
+        value = anchor + np.array([[0.3, 0.4], [0.1, 0.0]])
+        out = clamp_ball(value, anchor, 0.25)
+        assert np.all(np.linalg.norm(out - anchor, axis=1) <= 0.25)
+        inside = value[1]
+        assert np.array_equal(out[1], inside)
+        assert clamp_ball(inside, anchor, 0.25) is inside
+
+    @pytest.mark.usefixtures("deadline")
+    def test_ball_narrower_than_an_ulp_returns_the_anchor(self):
+        # One ulp of 3e15 is 0.5: every pull toward the anchor rounds back to
+        # the same point outside the 0.3 ball, so the anchor is the answer.
+        anchor = np.array([3e15])
+        out = clamp_ball(anchor + 0.5, anchor, 0.3)
+        assert abs(out[0] - anchor[0]) <= 0.3
+
+    @pytest.mark.usefixtures("deadline")
+    def test_gradient_noise_a_few_ulps_wide_terminates_within_the_bound(self):
+        exact = exact_oracle(2, lambda x: 0.0,
+                             lambda x: np.array([1e-3 * x[0], 1e3 * x[1]]))
+        noisy = wrap_with_uniform_noise(exact, NoiseBounds(eps_g=1e-12), noise_seed=0)
+        points = np.random.default_rng(5).normal(size=(300, 2))
+        batch = noisy.eval_g_many(points)
+        assert batch.tobytes() == per_row(noisy, points).tobytes()
+        exact_rows = per_row(exact, points)
+        assert np.all(np.linalg.norm(batch - exact_rows, axis=1) <= 1e-12)
+        # These rows round out of the ball on every pull and fall back to the
+        # exact gradient.
+        for i in (17, 88, 198, 289):
+            assert np.array_equal(noisy.eval_g(points[i]), exact_rows[i])

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from noisygs.minnorm import GradientBundle, solve_min_norm
 from noisygs.oracle import NoiseBounds
 from noisygs.problems import (
     Problem,
@@ -12,7 +11,7 @@ from noisygs.problems import (
     max_of_linear,
     rosenbrock_ns,
 )
-from noisygs.testkit import finite_diff_grad
+from testkit import finite_diff_grad
 
 
 class TestRosenbrock:
@@ -20,7 +19,6 @@ class TestRosenbrock:
         self.oracle, self.spec = rosenbrock_ns()
         self.f = self.oracle.truth_access.f
         self.g = self.oracle.truth_access.g
-        self.subdiff = self.oracle.truth_access.subdiff
 
     def test_frozen_values(self):
         assert self.f(np.array([1.0, 1.0])) == 0.0
@@ -41,18 +39,6 @@ class TestRosenbrock:
         # limit from t > 0, which is (-2, 100) there.
         g = self.g(np.array([0.0, -1.0]))
         assert np.array_equal(g, [-2.0, 100.0])
-
-    def test_subdifferential_on_the_kink_has_both_branches(self):
-        rows = self.subdiff(np.array([0.0, -1.0]))
-        assert rows.shape == (2, 2)
-        assert np.array_equal(rows[0], [-2.0, 100.0])
-        assert np.array_equal(rows[1], [-2.0, -100.0])
-
-    def test_subdifferential_off_the_kink_is_the_gradient(self):
-        x = np.array([-1.2, 1.0])
-        rows = self.subdiff(x)
-        assert rows.shape == (1, 2)
-        assert np.array_equal(rows[0], self.g(x))
 
     def test_gradient_matches_finite_differences_where_smooth(self):
         rng = np.random.default_rng(1)
@@ -135,23 +121,10 @@ class TestMaxOfLinear:
     def test_tie_takes_the_first_row(self):
         assert np.array_equal(self.oracle.truth_access.g(np.array([0.0])), [1.0])
 
-    def test_subdifferential_at_the_kink(self):
-        rows = self.oracle.truth_access.subdiff(np.array([0.0]))
-        assert rows.shape == (2, 1)
-        assert set(rows.ravel().tolist()) == {1.0, -1.0}
-
     def test_lipschitz_hint_is_the_largest_row_norm(self):
         assert self.spec.lipschitz_hint == 1.0
         _, spec = max_of_linear([[3.0, 4.0], [1.0, 0.0]], [0.0, 2.0])
         assert spec.lipschitz_hint == 5.0
-
-    def test_three_piece_hull_contains_origin(self):
-        oracle, _ = max_of_linear([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
-                                  [0.0, 0.0, 0.0])
-        rows = oracle.truth_access.subdiff(np.zeros(2))
-        assert rows.shape == (3, 2)
-        sol = solve_min_norm(GradientBundle(columns=rows.T, center=np.zeros(2), radius=1.0))
-        assert np.linalg.norm(sol.aggregate) <= 1e-5
 
     def test_gradient_matches_finite_differences_off_ties(self):
         oracle, _ = max_of_linear([[1.0, 2.0], [-3.0, 0.5]], [0.0, 1.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisygs.sampler import ball_points, iteration_stream, sample_ball
-from noisygs.testkit import ks_critical_1pct, ks_statistic
+from testkit import ks_critical_1pct, ks_statistic
 
 
 def test_same_seed_is_bitwise_identical():

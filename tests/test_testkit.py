@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from noisygs.problems import rosenbrock_ns
-from noisygs.testkit import (
+from testkit import (
     binomial_tail,
     files_identical,
     finite_diff_grad,

@@ -1,7 +1,7 @@
 """Slow, simple reference implementations used to cross-check the fast code.
 
-Everything here favors obviousness over speed. None of it is exported from
-the package root; the test suite imports it directly.
+Everything here favors obviousness over speed. It lives with the tests and
+is no part of the installed package.
 """
 
 from __future__ import annotations

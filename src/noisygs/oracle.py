@@ -111,26 +111,20 @@ def _key_suffix(seed: int, tag: bytes) -> bytes:
     return b"|" + tag + b"|" + str(int(seed)).encode()
 
 
-def _key_digest(seed: int, tag: bytes, x, size: int) -> bytes:
-    return hashlib.blake2b(_canonical_bytes(x) + _key_suffix(seed, tag), digest_size=size).digest()
-
-
-def _keyed_rng(seed: int, tag: bytes, x) -> np.random.Generator:
-    words = np.frombuffer(_key_digest(seed, tag, x, 32), dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words.tolist())))
+def _digest(message: bytes, size: int) -> bytes:
+    # blake2b up to its 64-byte limit; beyond it shake_256, which has none.
+    if size <= 64:
+        return hashlib.blake2b(message, digest_size=size).digest()
+    return hashlib.shake_256(message).digest(size)
 
 
 def keyed_seed(seed: int, x, tag: bytes = b"") -> int:
     """Derive a point-keyed integer seed. Stable across processes."""
-    return int.from_bytes(_key_digest(seed, tag, x, 8), "little")
+    return int.from_bytes(_digest(_canonical_bytes(x) + _key_suffix(seed, tag), 8), "little")
 
 
 _TWO_POW_M53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
-# Up to this dimension keyed_ball runs Box-Muller on one blake2b digest (at
-# most 64 bytes: ceil(dim / 2) word pairs plus one radial word). Above it a
-# Generator keyed by the digest is cheaper than a Python loop.
-_DIGEST_BALL_MAX_DIM = 6
 
 
 def _unit(word: int) -> float:
@@ -158,19 +152,26 @@ def keyed_ball(seed: int, x, radius: float, dim: int, tag: bytes = b"g") -> Arra
     """Deterministic draw from the closed ball of given radius, keyed by (seed, x).
 
     The direction is a normalised standard Gaussian, the radius radius * U**(1/dim).
+    x is one point or a (k, m) stack; a stack gives a (k, dim) array whose
+    rows are the draws each row would give alone.
     """
+    points = np.asarray(x, dtype=float)
+    rows = points.reshape(1, -1) if points.ndim < 2 else points
+    k = len(rows)
     if radius == 0.0:
-        return np.zeros(dim)
-    if dim > _DIGEST_BALL_MAX_DIM:
-        rng = _keyed_rng(seed, tag, x)
-        direction = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(direction))
-        if nrm == 0.0:
-            return np.zeros(dim)
-        return direction * (radius * rng.random() ** (1.0 / dim) / nrm)
-    count = _ball_word_count(dim)
-    words = struct.unpack(f"<{count}Q", _key_digest(seed, tag, x, 8 * count))
-    return np.array(_ball_from_words(words, radius, dim))
+        draws = np.zeros((k, dim))
+    else:
+        # The stack becomes canonical bytes once; each row's slice plus the
+        # key suffix is the message that row alone would hash.
+        width = 8 * rows.shape[1]
+        count = _ball_word_count(dim)
+        unpack = struct.Struct(f"<{count}Q").unpack
+        data = _canonical_bytes(rows)
+        suffix = _key_suffix(seed, tag)
+        digests = (_digest(data[i * width:(i + 1) * width] + suffix, 8 * count) for i in range(k))
+        draws = np.array([_ball_from_words(unpack(d), radius, dim) for d in digests],
+                         dtype=float).reshape(k, dim)
+    return draws[0] if points.ndim < 2 else draws
 
 
 def _ball_word_count(dim: int) -> int:
@@ -192,25 +193,6 @@ def _ball_from_words(words, radius: float, dim: int) -> list:
         return [0.0] * dim
     scale = radius * _unit(words[-1]) ** (1.0 / dim) / nrm
     return [g * scale for g in gauss]
-
-
-def _keyed_ball_rows(seed: int, points: Array, radius: float, tag: bytes) -> Array:
-    """keyed_ball at every row of a (k, dim) stack, dim <= _DIGEST_BALL_MAX_DIM.
-
-    The stack becomes canonical bytes once; each row's slice plus the key
-    suffix is the same message keyed_ball hashes for that row.
-    """
-    k, dim = points.shape
-    count = _ball_word_count(dim)
-    unpack = struct.Struct(f"<{count}Q").unpack
-    data = _canonical_bytes(points)
-    suffix = _key_suffix(seed, tag)
-    width = 8 * dim
-    rows = [_ball_from_words(unpack(hashlib.blake2b(data[i:i + width] + suffix,
-                                                    digest_size=8 * count).digest()),
-                             radius, dim)
-            for i in range(0, k * width, width)]
-    return np.array(rows, dtype=float).reshape(k, dim)
 
 
 def clamp_scalar(value: float, anchor: float, half_width: float) -> float:
@@ -237,7 +219,7 @@ def clamp_ball(value: Array, anchor: Array, radius: float) -> Array:
     out = rows
     for pull in range(5):
         delta = out - anchor
-        dist = np.linalg.norm(delta, axis=-1)
+        dist = _row_norms(delta, radius)
         bad = dist > radius
         if not bad.any():
             break
@@ -249,6 +231,22 @@ def clamp_ball(value: Array, anchor: Array, radius: float) -> Array:
         else:
             out[bad] = anchors + delta[bad] * ((radius / dist[bad]) * (1.0 - 1e-13))[:, None]
     return value if out is rows else out.reshape(np.shape(value))
+
+
+def _row_norms(delta: Array, radius: float) -> Array:
+    """The Euclidean norm of each row of delta, whose rows lie near the radius.
+
+    Offsets near a radius outside (1e-140, 1e140) square to below 1e-280 or
+    above 1e280, where the sum of squares underflows or overflows. There the
+    rows are scaled by a power of two that brings the radius to [0.5, 1).
+    That scaling is exact: a norm that neither underflows nor overflows
+    unscaled has the same bytes scaled.
+    """
+    if 1e-140 < radius < 1e140:
+        return np.linalg.norm(delta, axis=-1)
+    exponent = math.frexp(radius)[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(delta, -exponent), axis=-1), exponent)
 
 
 def perturb_value(value: float, seed: int, x, half_width: float, tag: bytes) -> float:
@@ -282,31 +280,24 @@ def wrap_with_uniform_noise(exact: OracleHandle, bounds: NoiseBounds, noise_seed
     if eps_g == 0.0:
         noisy_g = truth.g
     else:
-        def noisy_g(x, _g=truth.g):
-            gx = np.asarray(_g(x), dtype=float)
-            return clamp_ball(gx + keyed_ball(noise_seed, x, eps_g, n, b"g"), gx, eps_g)
+        truth_many = getattr(truth.g, "many", None)
 
-        if n <= _DIGEST_BALL_MAX_DIM:
-            noisy_g.many = _noisy_g_many(truth.g, eps_g, noise_seed)
+        def many(points: Array) -> Array:
+            # keyed_ball and clamp_ball treat every row of a stack as they
+            # treat the same row alone, so a stack gets the bytes of k calls.
+            if truth_many is not None:
+                grads = np.asarray(truth_many(points), dtype=float)
+            else:
+                grads = np.empty(points.shape)
+                for i, point in enumerate(points):
+                    grads[i] = truth.g(point)
+            noise = keyed_ball(noise_seed, points, eps_g, n, b"g")
+            return clamp_ball(grads + noise, grads, eps_g)
+
+        def noisy_g(x):
+            return many(np.asarray(x, dtype=float).reshape(1, n))[0]
+
+        noisy_g.many = many
 
     return OracleHandle(dims=n, eval_f=noisy_f, eval_g=noisy_g, truth_access=truth,
                         deterministic=True)
-
-
-def _noisy_g_many(truth_g: Callable[[Array], Array], eps_g: float, noise_seed: int):
-    """The noisy eval_g over a (k, n) stack, bit-identical to k single calls.
-
-    clamp_ball treats every row of the stack as it treats the same row alone.
-    """
-    truth_many = getattr(truth_g, "many", None)
-
-    def many(points: Array) -> Array:
-        if truth_many is not None:
-            exact = np.asarray(truth_many(points), dtype=float)
-        else:
-            exact = np.empty(points.shape)
-            for i, point in enumerate(points):
-                exact[i] = truth_g(point)
-        return clamp_ball(exact + _keyed_ball_rows(noise_seed, points, eps_g, b"g"), exact, eps_g)
-
-    return many

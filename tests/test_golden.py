@@ -57,9 +57,9 @@ TRAIN_DIGESTS = {
 
 
 # `run` on the noisy problems whose gradients take the other paths through the
-# noise wrapper: max_linear at n = 4 (one batch of noisy gradients over
-# per-row truth) and n = 9 (one noisy gradient per row), and abs_composite
-# (value noise and a noisy phi sign inside the problem). The piece files are
+# noise wrapper: max_linear at n = 4 (noise words from blake2b, over per-row
+# truth) and n = 9 (noise words from shake_256), and abs_composite (value
+# noise and a noisy phi sign inside the problem). The piece files are
 # written by max_linear_pieces and named relative to the working directory.
 NOISY_RUNS = {
     "max_linear_4": ["--problem", "max_linear:pieces.txt", "--eps-f", "1e-3",
@@ -76,8 +76,8 @@ NOISY_RUN_DIGESTS = {
         "run.json": "c3151cd190a83f5d512dee9317ab2f3072695f7ac46fe8f8ceba5a3afa54ccc9",
     },
     "max_linear_9": {
-        "history.csv": "f572c311b1ad96dea14d7e891ad457357555cd42dd704483845403524db62f87",
-        "run.json": "a32b642524e204cf5d8cde1d54fa6c7efee90dc56f2d3e938064df71bfab8262",
+        "history.csv": "5c1734e6505c99124fb4dd11f5e386e66cd87c84500fd3fb20b95857e3c0b135",
+        "run.json": "959542b4d04e16e058d39482a1a53a1df2e229ed2564ca2e053bef79ecf52415",
     },
     "abs_composite": {
         "history.csv": "64577c5b2ea0359ab7185d8064eb74c43c44e8a610b90c65112588e1f22fd7dc",

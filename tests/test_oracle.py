@@ -8,7 +8,6 @@ import pytest
 
 import noisygs.oracle
 from noisygs.oracle import (
-    _DIGEST_BALL_MAX_DIM,
     NoiseBounds,
     OracleHandle,
     _word_to_uniform,
@@ -134,16 +133,27 @@ def per_row(oracle: OracleHandle, points: np.ndarray) -> np.ndarray:
     return np.stack([np.asarray(oracle.eval_g(p), dtype=float) for p in points])
 
 
+def scaled_norms(rows: np.ndarray, exponent: int) -> np.ndarray:
+    """Row norms of rows * 2**exponent. A power of two rescales exactly, so
+    the norms of tiny or huge offsets are read where their squares neither
+    underflow nor overflow."""
+    return np.linalg.norm(np.ldexp(np.atleast_2d(rows), exponent), axis=1)
+
+
 class TestEvalGMany:
     def test_without_a_batch_it_stacks_eval_g(self):
-        dims = _DIGEST_BALL_MAX_DIM + 1
-        noisy = wrap_with_uniform_noise(quadratic_oracle(dims), NoiseBounds(0.1, 0.05),
-                                        noise_seed=1)
-        assert not hasattr(noisy.eval_g, "many")
-        points = np.random.default_rng(2).normal(size=(5, dims))
-        many = noisy.eval_g_many(points)
-        assert many.shape == (5, dims)
-        assert np.array_equal(many, np.stack([noisy.eval_g(p) for p in points]))
+        calls = []
+
+        def g(x):
+            calls.append(1)
+            return 2.0 * np.asarray(x, dtype=float)
+
+        oracle = OracleHandle(dims=3, eval_f=lambda x: 0.0, eval_g=g)
+        points = np.random.default_rng(2).normal(size=(5, 3))
+        many = oracle.eval_g_many(points)
+        assert many.shape == (5, 3)
+        assert len(calls) == 5
+        assert np.array_equal(many, np.stack([g(p) for p in points]))
 
     def test_a_batch_on_eval_g_is_used_and_travels_with_it(self):
         batches = []
@@ -173,7 +183,7 @@ class TestEvalGMany:
         assert batches == [(4, 2)]
 
 
-    @pytest.mark.parametrize("dims", [1, 2, 6])
+    @pytest.mark.parametrize("dims", [1, 2, 4, 6, 7, 9, 50])
     def test_wrapped_batch_is_bitwise_the_per_row_path(self, dims):
         noisy = wrap_with_uniform_noise(quadratic_oracle(dims), NoiseBounds(0.1, 0.05),
                                         noise_seed=3)
@@ -266,8 +276,8 @@ class TestDigestDraws:
         top = _word_to_uniform(2 ** 64 - 1, h)
         assert 0.0 < top < h
 
-    # 1, 2 and 6 run Box-Muller on the digest; 7 takes the Generator path.
-    @pytest.mark.parametrize("dim", [1, 2, 6, 7])
+    # Up to 6 dimensions the Box-Muller words come from blake2b, above from shake_256.
+    @pytest.mark.parametrize("dim", [1, 2, 6, 7, 9, 50])
     def test_ball_draws_have_the_uniform_ball_law(self, dim):
         radius, count = 0.5, 4000
         rng = np.random.default_rng(dim)
@@ -283,7 +293,7 @@ class TestDigestDraws:
         assert np.linalg.norm(units.mean(axis=0)) <= 4.0 / np.sqrt(count)
         assert np.allclose(units.T @ units / count, np.eye(dim) / dim, atol=0.05)
 
-    @pytest.mark.parametrize("dim", [2, 7])
+    @pytest.mark.parametrize("dim", [2, 7, 50])
     def test_ball_keys_signed_zeros_alike(self, dim):
         negative = np.array([-0.0] * dim)
         assert np.array_equal(keyed_ball(4, negative, 1.0, dim), keyed_ball(4, -negative, 1.0, dim))
@@ -301,9 +311,13 @@ class TestDigestDraws:
                 0.6869725804095413, 0.1536213313938813, -0.5488059028389438,
                 -0.12447660367147184, 0.13802741245151742, 0.3879810080222837],
             (1, tuple(range(7)), 1.0, 7): [
-                0.11738389753255106, -0.2172401464406715, 0.14921643539911777,
-                -0.524541518307035, -0.4167935550096009, 0.49100421114462073,
-                0.19852927200819623],
+                0.5817999816211437, -0.054467960252727834, 0.06575690115094056,
+                0.35232253045732004, 0.18721631501396996, 0.6344831089552847,
+                -0.05489406141016418],
+            (2, tuple(range(9)), 1.0, 9): [
+                0.029040480920844106, -0.12684708411560344, -0.16871310954760363,
+                0.12157688204633967, 0.09974531164318208, 0.0287304979401465,
+                0.3003419712878257, -0.1856653161349768, 0.711566335670181],
         }
         for (seed, point, radius, dim), expected in pinned.items():
             draw = keyed_ball(seed, np.array(point, dtype=float), radius, dim)
@@ -358,3 +372,45 @@ class TestClamps:
         # exact gradient.
         for i in (17, 88, 198, 289):
             assert np.array_equal(noisy.eval_g(points[i]), exact_rows[i])
+
+    def test_ball_below_the_square_underflow_pulls_rows_back(self):
+        # Offsets near 1e-170 square to below the smallest double, so an
+        # unscaled norm reads 0 and would leave the first two rows outside.
+        anchor = np.array([3e-155, -7e-155])
+        value = anchor + np.array([[2e-170, 0.0], [0.0, -3e-170], [5e-171, 0.0]])
+        out = clamp_ball(value, anchor, 1e-170)
+        assert np.all(scaled_norms(out - anchor, 560) <= np.ldexp(1e-170, 560))
+        assert np.array_equal(out[2], value[2])
+        assert not np.array_equal(out[0], anchor)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ball_above_the_square_overflow_keeps_inner_rows(self):
+        # Offsets near 1e160 square to inf; an unscaled norm would pull every
+        # row, the inner one included, onto the anchor.
+        anchor = np.zeros(2)
+        value = np.array([[6e159, 7e159], [1e160, 1e160]])
+        out = clamp_ball(value, anchor, 1e160)
+        assert np.array_equal(out[0], value[0])
+        assert 0.99 * np.ldexp(1e160, -560) < scaled_norms(out[1], -560)[0] <= np.ldexp(1e160, -560)
+
+    def test_gradient_noise_below_the_square_underflow_stays_within_the_bound(self):
+        # The few-ulps case above scaled by 1e-158: squares of the offsets underflow.
+        exact = exact_oracle(2, lambda x: 0.0,
+                             lambda x: 1e-158 * np.array([1e-3 * x[0], 1e3 * x[1]]))
+        noisy = wrap_with_uniform_noise(exact, NoiseBounds(eps_g=1e-170), noise_seed=0)
+        points = np.random.default_rng(5).normal(size=(300, 2))
+        batch = noisy.eval_g_many(points)
+        assert batch.tobytes() == per_row(noisy, points).tobytes()
+        errors = scaled_norms(batch - per_row(exact, points), 560)
+        assert np.all(errors <= np.ldexp(1e-170, 560))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_noise_above_the_square_overflow_is_drawn(self):
+        exact = quadratic_oracle(3)
+        noisy = wrap_with_uniform_noise(exact, NoiseBounds(eps_g=1e160), noise_seed=0)
+        points = np.random.default_rng(6).normal(size=(20, 3))
+        batch = noisy.eval_g_many(points)
+        assert batch.tobytes() == per_row(noisy, points).tobytes()
+        errors = scaled_norms(batch - points, -560)
+        assert np.all(errors <= np.ldexp(1e160, -560))
+        assert np.all(errors > 0.0)

@@ -42,6 +42,25 @@ def test_radius_below_the_centers_ulp_stays_inside():
         assert np.all(np.linalg.norm(s - center, axis=1) <= radius)
 
 
+def test_radius_below_the_square_underflow_stays_inside():
+    # Offsets near 1e-170 square to below the smallest double; their norms
+    # are read after an exact rescale by 2**560.
+    center = np.array([3e-155, -7e-155])
+    for seed in range(50):
+        s = sample_ball(center, 1e-170, 20, master_seed=seed, stream_id=0)
+        dists = np.linalg.norm(np.ldexp(s - center, 560), axis=1)
+        assert np.all(dists <= np.ldexp(1e-170, 560))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radius_above_the_square_overflow_spreads_its_points():
+    # Offsets near 1e160 square to inf; the points must still fill the ball,
+    # not collapse onto the center.
+    s = sample_ball(np.zeros(2), 1e160, 20, master_seed=0, stream_id=1)
+    assert len({tuple(row) for row in s}) == 20
+    assert np.all(np.linalg.norm(np.ldexp(s, -560), axis=1) <= np.ldexp(1e160, -560))
+
+
 def test_zero_radius_collapses_to_center():
     center = np.array([3.0, 4.0])
     s = sample_ball(center, 0.0, 10, master_seed=1, stream_id=0)

@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 import yaml
@@ -37,6 +37,7 @@ from .mldemo import (
 from .oracle import NoiseBounds
 from .problems import Problem, load_problem
 from .solver import (
+    TRAJECTORY_MAX_DIMS,
     IterateRecord,
     NoQualifyingStepsError,
     RunResult,
@@ -93,9 +94,10 @@ def _opt_float(v) -> Optional[float]:
     return float(v)
 
 
-def _float_or_auto(v):
+def _float_or_auto(v) -> Optional[float]:
+    # "auto" becomes None, which _noise_bounds and the solver resolve.
     if isinstance(v, str) and v.strip().lower() == "auto":
-        return "auto"
+        return None
     return float(v)
 
 
@@ -142,42 +144,47 @@ _CONVERTERS = {int: _int, float: float, bool: _bool,
                Optional[int]: _opt_int, Optional[float]: _opt_float}
 _FIELD_TYPES = get_type_hints(SolverParams)
 
+# Each subcommand's options as key -> (default, converter, help), in flag order.
+# A key with help text is also a flag; one without is a config-file key only.
 _SOLVER_KEYS = {
-    "seed": (_DEFAULTS.master_seed, _int),
-    "noise_seed": (0, _int),
-    **{key: (getattr(_DEFAULTS, key), _CONVERTERS[_FIELD_TYPES[key]]) for key in SOLVER_FLAGS},
-    "out": (None, _opt_str),
+    "seed": (_DEFAULTS.master_seed, _int, "solver master seed"),
+    "noise_seed": (0, _int, "oracle noise seed"),
+    **{key: (getattr(_DEFAULTS, key), _CONVERTERS[_FIELD_TYPES[key]], text)
+       for key, text in SOLVER_FLAGS.items()},
+    "out": (None, _opt_str, "output directory"),
 }
 
 RUN_SCHEMA = {
-    "problem": ("rosenbrock", str),
-    "eps_f": (0.0, float),
-    "eps_g": ("auto", _float_or_auto),
-    "eps_ls": ("auto", _float_or_auto),
+    "problem": ("rosenbrock", str, "rosenbrock, abs_composite, or max_linear:<file>"),
+    "eps_f": (0.0, float, "value-noise bound"),
+    "eps_g": ("auto", _float_or_auto, "gradient-noise bound, or auto for sqrt(eps_f)"),
+    "eps_ls": ("auto", _float_or_auto,
+               "line search slack, or auto for max(2.1 * eps_f, 1e-12)"),
     **_SOLVER_KEYS,
 }
 
 SWEEP_SCHEMA = {
-    "problem": ("rosenbrock", str),
-    "eps_f_levels": ([1e-1, 1e-2, 1e-3, 1e-4], _float_list),
-    "repeats": (10, _int),
-    **{k: v for k, v in _SOLVER_KEYS.items() if k != "budget"},
-    "budget": (3000, _int),
+    "problem": (RUN_SCHEMA["problem"][0], str, None),
+    "eps_f_levels": ([1e-1, 1e-2, 1e-3, 1e-4], _float_list, None),
+    "repeats": (10, _int, None),
+    **_SOLVER_KEYS,
+    "budget": (3000, _int, SOLVER_FLAGS["budget"]),
 }
 
 TRAIN_SCHEMA = {
-    "mode": ("fixed", str),
-    "batch": (128, _int),
-    "eps_f": (0.05, float),
-    "eps_ls_grid": ([1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0], _float_list),
-    "num_points": (1024, _int),
-    "num_features": (13, _int),
-    "separation": (4.0, float),
-    "data_seed": (5, _int),
-    "hidden": (10, _int),
-    **{k: v for k, v in _SOLVER_KEYS.items() if k not in ("budget", "m")},
-    "budget": (2000, _int),
-    "m": (10, _int),
+    "mode": ("fixed", str, "full, fixed, or adaptive"),
+    "batch": (128, _int, "fixed-mode batch size"),
+    "eps_f": (0.05, float, "adaptive-mode error target"),
+    "eps_ls_grid": ([1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0], _float_list,
+                    "comma list of line search slacks"),
+    "num_points": (1024, _int, "dataset size"),
+    "num_features": (13, _int, "feature count"),
+    "separation": (4.0, float, "class separation"),
+    "data_seed": (5, _int, "dataset seed"),
+    "hidden": (10, _int, "hidden layer width"),
+    **_SOLVER_KEYS,
+    "budget": (2000, _int, SOLVER_FLAGS["budget"]),
+    "m": (10, _int, SOLVER_FLAGS["m"]),
 }
 
 
@@ -198,7 +205,7 @@ def _load_config_file(path, parser: _Parser) -> dict:
 
 def _merge_options(schema: dict, file_values: dict, ns: argparse.Namespace,
                    parser: _Parser) -> dict:
-    merged = {key: default for key, (default, _) in schema.items()}
+    merged = {key: entry[0] for key, entry in schema.items()}
     for key, value in file_values.items():
         if key not in schema:
             parser.error(f"unknown config key {key!r}")
@@ -207,7 +214,7 @@ def _merge_options(schema: dict, file_values: dict, ns: argparse.Namespace,
         if key in schema:
             merged[key] = value
     out = {}
-    for key, (_, convert) in schema.items():
+    for key, (_, convert, _) in schema.items():
         try:
             out[key] = convert(merged[key])
         except (TypeError, ValueError):
@@ -257,9 +264,14 @@ def _write_json(path: Path, payload) -> None:
     _write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _solver_params(opts: dict, eps_ls, bounds: NoiseBounds, master_seed: int) -> SolverParams:
-    return SolverParams(bounds=bounds, eps_ls=eps_ls, master_seed=master_seed,
-                        **{key: opts[key] for key in SOLVER_FLAGS})
+def _noise_bounds(eps_f: float, eps_g: Optional[float] = None) -> NoiseBounds:
+    """Noise bounds with eps_g = sqrt(eps_f) unless eps_g is given."""
+    NoiseBounds(eps_f=eps_f)  # reject a bad eps_f before it reaches sqrt
+    return NoiseBounds(eps_f=eps_f, eps_g=math.sqrt(eps_f) if eps_g is None else eps_g)
+
+
+def _solver_params(opts: dict, bounds: NoiseBounds, **extra) -> SolverParams:
+    return SolverParams(bounds=bounds, **{key: opts[key] for key in SOLVER_FLAGS}, **extra)
 
 
 def _run_payload(problem_name: str, dims: int, params: SolverParams, noise_seed: int,
@@ -302,7 +314,7 @@ def _run_and_write(problem_name: str, problem: Problem, params: SolverParams,
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "history.csv", HISTORY_HEADER, _history_rows(result))
     n = problem.spec.dims
-    if n <= 3:
+    if n <= TRAJECTORY_MAX_DIMS:
         header = ["k"] + [f"x{i + 1}" for i in range(n)]
         rows = ([rec.k] + [float(v) for v in rec.x] for rec in result.history)
         _write_csv(out / "trajectory.csv", header, rows)
@@ -317,13 +329,9 @@ def cmd_run(ns: argparse.Namespace, parser: _Parser) -> int:
         problem = load_problem(opts["problem"])
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    eps_f = opts["eps_f"]
-    eps_ls = None if opts["eps_ls"] == "auto" else opts["eps_ls"]
     try:
-        NoiseBounds(eps_f=eps_f)  # reject a bad eps_f before it reaches sqrt
-        eps_g = math.sqrt(eps_f) if opts["eps_g"] == "auto" else opts["eps_g"]
-        bounds = NoiseBounds(eps_f=eps_f, eps_g=eps_g)
-        params = _solver_params(opts, eps_ls, bounds, opts["seed"])
+        params = _solver_params(opts, _noise_bounds(opts["eps_f"], opts["eps_g"]),
+                                eps_ls=opts["eps_ls"], master_seed=opts["seed"])
         out = _resolve_out(opts["out"])
         result = _run_and_write(opts["problem"], problem, params, opts["noise_seed"], out)
     except ValueError as exc:
@@ -334,7 +342,7 @@ def cmd_run(ns: argparse.Namespace, parser: _Parser) -> int:
     if truth is not None:
         print(f"final f_true: {_fmt_cell(float(truth.f(result.final_x)))}")
     print(f"wrote: {out / 'history.csv'}")
-    if problem.spec.dims <= 3:
+    if problem.spec.dims <= TRAJECTORY_MAX_DIMS:
         print(f"wrote: {out / 'trajectory.csv'}")
     print(f"wrote: {out / 'run.json'}")
     return _STATUS_EXIT[result.status]
@@ -362,8 +370,7 @@ def cmd_sweep(ns: argparse.Namespace, parser: _Parser) -> int:
             noise_seed = opts["noise_seed"] + j
             cell_dir = runs_dir / f"eps_f_{repr(float(level))}_seed_{master_seed}"
             try:
-                bounds = NoiseBounds(eps_f=level, eps_g=math.sqrt(level))
-                params = _solver_params(opts, 2.1 * level, bounds, master_seed)
+                params = _solver_params(opts, _noise_bounds(level), master_seed=master_seed)
                 result = _run_and_write(opts["problem"], problem, params, noise_seed, cell_dir)
                 final_f = float(truth.f(result.final_x)) if truth is not None else None
                 rows.append([float(level), master_seed, final_f,
@@ -424,11 +431,11 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
         return _fail_run_dir(f"{meta_path} lacks the run parameters")
     try:
         flags = {key: convert(params.get(key, default))
-                 for key, (default, convert) in _SOLVER_KEYS.items() if key in SOLVER_FLAGS}
-        run_params = SolverParams(
-            bounds=NoiseBounds(eps_f=float(params["eps_f"]), eps_g=float(params["eps_g"])),
-            lipschitz_min_step=ns.min_step, **flags)
+                 for key, (default, convert, _) in _SOLVER_KEYS.items() if key in SOLVER_FLAGS}
         eps_ls = float(params["eps_ls"])
+        run_params = _solver_params(
+            flags, NoiseBounds(eps_f=float(params["eps_f"]), eps_g=float(params["eps_g"])),
+            eps_ls=eps_ls)
     except (ValueError, TypeError) as exc:
         return _fail_run_dir(f"{meta_path} holds invalid run parameters: {exc}")
     eps_g = run_params.bounds.eps_g
@@ -436,7 +443,7 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
         records = _parse_history(hist_path, run_params.nu, eps_g)
     except (OSError, ValueError, TypeError) as exc:
         return _fail_run_dir(f"cannot parse {hist_path}: {exc}")
-    cert = certify(records, run_params, eps_ls)
+    cert = certify(records, run_params, eps_ls, ns.min_step)
     # Without a given constant, certify has already estimated it.
     estimate = cert.lipschitz
     if run_params.lipschitz is not None:
@@ -487,7 +494,7 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _moving_average(values: list[float], window: int = 8) -> list[float]:
+def _moving_average(values: Sequence[float], window: int = 8) -> list[float]:
     out = []
     acc = 0.0
     for i, v in enumerate(values):
@@ -516,11 +523,7 @@ def cmd_train(ns: argparse.Namespace, parser: _Parser) -> int:
     out = _resolve_out(opts["out"])
     mode = opts["mode"]
     try:
-        if mode == "adaptive":
-            NoiseBounds(eps_f=opts["eps_f"])  # reject a bad eps_f before sqrt
-            bounds = NoiseBounds(eps_f=opts["eps_f"], eps_g=math.sqrt(opts["eps_f"]))
-        else:
-            bounds = NoiseBounds()
+        bounds = _noise_bounds(opts["eps_f"]) if mode == "adaptive" else NoiseBounds()
     except ValueError as exc:
         parser.error(str(exc))
     # Every arm is built before the first one trains, so a bad value late in
@@ -530,53 +533,44 @@ def cmd_train(ns: argparse.Namespace, parser: _Parser) -> int:
                                           eps_f=opts["eps_f"],
                                           resample_seed=opts["noise_seed"])
         arms = [(eps_ls, bce_loss_oracle(data, oracle_config, hidden),
-                 _solver_params(opts, eps_ls, bounds, opts["seed"])) for eps_ls in grid]
+                 _solver_params(opts, bounds, eps_ls=eps_ls, master_seed=opts["seed"]))
+                for eps_ls in grid]
     except ValueError as exc:
         parser.error(str(exc))
+    batch = opts["batch"] if mode == "fixed" else data.features.shape[0]
+    names = ["f_true", "grad_norm", "eps_f_k", "eps_g_k"]
+    header = ["k", *names, *(name + "_ma8" for name in names), "batch"]
+    if mode == "adaptive":
+        header.append("samples_cum")
     summary_rows = []
     worst = EXIT_OK
     for eps_ls, oracle, params in arms:
         truth = oracle.truth_access
-        observed: dict[int, dict] = {}
+        # The solver observes each iteration right after recording its history row.
+        # Entries are (grad_norm, eps_g_k, batch), plus samples_cum when adaptive.
+        observed: list[tuple] = []
 
         def observe(event, _truth=truth, _observed=observed, _meta=oracle.meta):
             g_true = np.asarray(_truth.g(event.x), dtype=float)
-            entry = {
-                "grad_norm": float(np.linalg.norm(event.g_center)),
-                "eps_g_k": float(np.linalg.norm(event.g_center - g_true)),
-            }
+            entry = (float(np.linalg.norm(event.g_center)),
+                     float(np.linalg.norm(event.g_center - g_true)))
             if mode == "adaptive":
-                entry["batch"] = adaptive_batch_eval(data, event.x, opts["eps_f"],
-                                                     opts["noise_seed"], hidden)[2]
-                entry["samples_cum"] = int(_meta["samples_total"])
-            elif mode == "fixed":
-                entry["batch"] = opts["batch"]
+                entry += (adaptive_batch_eval(data, event.x, opts["eps_f"],
+                                              opts["noise_seed"], hidden)[2],
+                          int(_meta["samples_total"]))
             else:
-                entry["batch"] = data.features.shape[0]
-            _observed[event.k] = entry
+                entry += (batch,)
+            _observed.append(entry)
 
         result = run(oracle, w0, params, observer=observe)
         worst = max(worst, _STATUS_EXIT[result.status])
-        ks, f_true, grad_norm, eps_f_k, eps_g_k, batch, samples = [], [], [], [], [], [], []
-        for rec in result.history:
-            entry = observed.get(rec.k, {})
-            ks.append(rec.k)
-            f_true.append(rec.f_true if rec.f_true is not None else math.nan)
-            grad_norm.append(entry.get("grad_norm", math.nan))
-            eps_f_k.append(abs(rec.f_tilde - rec.f_true) if rec.f_true is not None else math.nan)
-            eps_g_k.append(entry.get("eps_g_k", math.nan))
-            batch.append(entry.get("batch", 0))
-            samples.append(entry.get("samples_cum", 0))
-        header = ["k", "f_true", "grad_norm", "eps_f_k", "eps_g_k",
-                  "f_true_ma8", "grad_norm_ma8", "eps_f_k_ma8", "eps_g_k_ma8", "batch"]
-        columns = [ks, f_true, grad_norm, eps_f_k, eps_g_k,
-                   _moving_average(f_true), _moving_average(grad_norm),
-                   _moving_average(eps_f_k), _moving_average(eps_g_k), batch]
-        if mode == "adaptive":
-            header.append("samples_cum")
-            columns.append(samples)
+        values = [(rec.f_true, grad_norm, abs(rec.f_tilde - rec.f_true), eps_g_k)
+                  for rec, (grad_norm, eps_g_k, *_) in zip(result.history, observed)]
+        averages = zip(*map(_moving_average, zip(*values)))
         metrics_path = out / f"train_eps_ls_{repr(float(eps_ls))}.csv"
-        _write_csv(metrics_path, header, zip(*columns) if ks else [])
+        _write_csv(metrics_path, header,
+                   ((rec.k, *row, *avg, *entry[2:]) for rec, row, avg, entry
+                    in zip(result.history, values, averages, observed)))
         final_acc = accuracy(data, result.final_x, hidden)
         final_f = float(truth.f(result.final_x))
         summary_rows.append([float(eps_ls), final_acc, final_f, len(result.history),
@@ -592,23 +586,33 @@ def cmd_train(ns: argparse.Namespace, parser: _Parser) -> int:
     return worst
 
 
+def _add_flags(sub: argparse.ArgumentParser, schema: dict) -> None:
+    """One flag per schema key with help text; _merge_options applies the default."""
+    for key, (default, convert, text) in schema.items():
+        if text is None:
+            continue
+        if default is not None:
+            shown = map(_fmt_cell, default if isinstance(default, list) else [default])
+            text = f"{text} (default {','.join(shown)})"
+        sub.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS, help=text,
+                         **({"action": "store_true"} if convert is _bool else {}))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="noisygs",
                      description="Gradient sampling solver for nonsmooth objectives "
                                  "with bounded oracle noise.")
     subs = parser.add_subparsers(dest="command", required=True)
-    sup = argparse.SUPPRESS
+    config_help = "YAML config file; flags override it"
 
     run_p = subs.add_parser("run", help="solve one problem instance")
-    run_p.add_argument("--config", help="YAML config file; flags override it")
-    run_p.add_argument("--problem", default=sup, help="rosenbrock, abs_composite, or max_linear:<file>")
-    run_p.add_argument("--eps-f", default=sup, help="value-noise bound (default 0)")
-    run_p.add_argument("--eps-g", default=sup, help="gradient-noise bound or 'auto' (= sqrt(eps_f))")
-    run_p.add_argument("--eps-ls", default=sup, help="line search slack or 'auto' (= 2.1 * eps_f)")
+    run_p.add_argument("--config", help=config_help)
+    _add_flags(run_p, RUN_SCHEMA)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = subs.add_parser("sweep", help="run a noise-level grid from a config file")
     sweep_p.add_argument("config_path", help="YAML config: problem, eps_f_levels, repeats, ...")
+    _add_flags(sweep_p, SWEEP_SCHEMA)
     sweep_p.set_defaults(func=cmd_sweep)
 
     verify_p = subs.add_parser("verify", help="check a finished run directory")
@@ -618,33 +622,13 @@ def build_parser() -> _Parser:
     verify_p.add_argument("--goldstein", type=int, default=None, metavar="N",
                           help="also estimate stationarity at final_x from N ball samples")
     verify_p.add_argument("--goldstein-eps", type=float, default=None,
-                          help="ball radius for --goldstein (default: final eps_k)")
+                          help="ball radius for --goldstein; omitted, the final eps_k")
     verify_p.set_defaults(func=cmd_verify)
 
     train_p = subs.add_parser("train", help="train the demo network over an eps_ls grid")
-    train_p.add_argument("--config", help="YAML config file; flags override it")
-    train_p.add_argument("--mode", default=sup, help="full, fixed, or adaptive (default fixed)")
-    train_p.add_argument("--batch", default=sup, help="fixed-mode batch size (default 128)")
-    train_p.add_argument("--eps-f", default=sup, help="adaptive-mode error target (default 0.05)")
-    train_p.add_argument("--eps-ls-grid", default=sup,
-                         help="comma list of line search slacks (default 0.001,...,100)")
-    train_p.add_argument("--num-points", default=sup, help="dataset size (default 1024)")
-    train_p.add_argument("--num-features", default=sup, help="feature count (default 13)")
-    train_p.add_argument("--separation", default=sup, help="class separation (default 4)")
-    train_p.add_argument("--data-seed", default=sup, help="dataset seed (default 5)")
-    train_p.add_argument("--hidden", default=sup, help="hidden layer width (default 10)")
+    train_p.add_argument("--config", help=config_help)
+    _add_flags(train_p, TRAIN_SCHEMA)
     train_p.set_defaults(func=cmd_train)
-
-    for sub in (run_p, sweep_p, train_p):
-        sub.add_argument("--seed", default=sup, help="solver master seed")
-        sub.add_argument("--noise-seed", default=sup, help="oracle noise seed")
-        for key, text in SOLVER_FLAGS.items():
-            flag = "--" + key.replace("_", "-")
-            if _SOLVER_KEYS[key][1] is _bool:
-                sub.add_argument(flag, action="store_true", default=sup, help=text)
-            else:
-                sub.add_argument(flag, default=sup, help=text)
-        sub.add_argument("--out", default=sup, help="output directory")
     return parser
 
 

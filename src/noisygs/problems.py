@@ -151,6 +151,14 @@ class Problem:
     make_noisy: Callable[[NoiseBounds, int], OracleHandle]
 
 
+def _wrapped(oracle: OracleHandle, spec: ProblemSpec) -> Problem:
+    """A problem whose noisy oracle is the uniform noise wrapper around its
+    exact one; the wrapper is looked up each time a noisy oracle is made."""
+    return Problem(oracle=oracle, spec=spec,
+                   make_noisy=lambda bounds, noise_seed: wrap_with_uniform_noise(
+                       oracle, bounds, noise_seed))
+
+
 def _identity(x: float) -> float:
     return x
 
@@ -171,13 +179,7 @@ def load_problem(name: str) -> Problem:
     the phi and value noise bound and ignores eps_g.
     """
     if name == "rosenbrock":
-        oracle, spec = rosenbrock_ns()
-        return Problem(
-            oracle=oracle,
-            spec=spec,
-            make_noisy=lambda bounds, noise_seed, _o=oracle: wrap_with_uniform_noise(
-                _o, bounds, noise_seed),
-        )
+        return _wrapped(*rosenbrock_ns())
     if name == "abs_composite":
         oracle = abs_composite(_identity, _one, noise_bound=0.0)
         spec = ProblemSpec(
@@ -199,13 +201,7 @@ def load_problem(name: str) -> Problem:
         data = np.loadtxt(path, ndmin=2)
         if data.shape[1] < 2:
             raise ValueError("each row must hold at least one coefficient and an offset")
-        oracle, spec = max_of_linear(data[:, :-1], data[:, -1])
-        return Problem(
-            oracle=oracle,
-            spec=spec,
-            make_noisy=lambda bounds, noise_seed, _o=oracle: wrap_with_uniform_noise(
-                _o, bounds, noise_seed),
-        )
+        return _wrapped(*max_of_linear(data[:, :-1], data[:, -1]))
     raise ValueError(
         f"unknown problem {name!r}; expected rosenbrock, abs_composite, or max_linear:<file>"
     )

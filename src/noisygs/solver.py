@@ -26,6 +26,9 @@ from .oracle import NoiseBounds, OracleHandle
 from .sampler import sample_ball
 
 
+TRAJECTORY_MAX_DIMS = 3  # history keeps x, and the CLI writes trajectory.csv, up to here
+
+
 class RunStatus(Enum):
     STATIONARY = "Stationary"
     BUDGET_EXHAUSTED = "BudgetExhausted"
@@ -53,8 +56,6 @@ class SolverParams:
     f_low: value floor below which the objective counts as diverging.
     strict_requires: refuse to run when the admissibility conditions fail
         instead of recording them as warnings.
-    lipschitz_min_step: shortest accepted step the post-run Lipschitz
-        estimate may use.
     """
 
     bounds: NoiseBounds = NoiseBounds()
@@ -73,7 +74,6 @@ class SolverParams:
     f_low: float = -1e12
     master_seed: int = 0
     strict_requires: bool = False
-    lipschitz_min_step: float = 1e-9
 
     def __post_init__(self):
         # Mechanical sanity only; the theory-side admissibility conditions
@@ -98,8 +98,6 @@ class SolverParams:
             raise ValueError("budget must be nonnegative")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if not (self.lipschitz_min_step > 0.0):
-            raise ValueError("lipschitz_min_step must be positive")
 
 
 def resolve_m(m: Optional[int], dims: int) -> int:
@@ -159,7 +157,7 @@ class IterateRecord:
     f_true the exact value when truth is available. norm_g_tilde is the norm
     of the aggregated gradient, not of the raw gradient at the iterate.
     radius_reduced marks iterations that shrank the sampling radius instead
-    of line searching. x is stored for small problems only (dims <= 3).
+    of line searching. x is stored only when dims <= TRAJECTORY_MAX_DIMS.
     """
 
     k: int
@@ -275,16 +273,16 @@ def step_cutoff(params: SolverParams, eps_k: float) -> float:
 
 
 def certify(history: Sequence[IterateRecord], params: SolverParams,
-            eps_ls: float) -> Certificate:
+            eps_ls: float, min_step: float = 1e-9) -> Certificate:
     """Check a run's history against the terminal bound.
 
     Uses params.lipschitz when given, else estimate_lipschitz over the
-    history with params.lipschitz_min_step.
+    history's accepted steps of length min_step or more.
     """
     lipschitz = params.lipschitz
     if lipschitz is None:
         try:
-            lipschitz = estimate_lipschitz(history, params.lipschitz_min_step)
+            lipschitz = estimate_lipschitz(history, min_step)
         except NoQualifyingStepsError:
             lipschitz = None
     if lipschitz is None or not (params.eta > 0.0 and params.nu > 0.0):
@@ -334,7 +332,7 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
     eps_g = params.bounds.eps_g
     eps_ls = resolve_eps_ls(params.eps_ls, eps_f)
     truth_f = oracle.truth_access.f if oracle.truth_access is not None else None
-    small = n <= 3
+    small = n <= TRAJECTORY_MAX_DIMS
 
     f_x = float(oracle.eval_f(x))
     if math.isnan(f_x):

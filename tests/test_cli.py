@@ -1,10 +1,12 @@
 """End-to-end tests of the command line harness.
 
 Every test drives ``noisygs.cli.main`` in process so exit codes, stdout,
-and output files can all be inspected cheaply. A single smoke test at the
-bottom spawns a real interpreter to prove the module entry point works.
+and output files can all be inspected cheaply. Smoke tests at the bottom
+spawn a real interpreter to prove the module entry point and each
+subcommand's --help work.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -217,6 +219,56 @@ def stationary_dir(tmp_path_factory):
     return out
 
 
+SOLVER_OPTIONS = [["--seed"], ["--noise-seed"], ["--budget"], ["--eps-min"], ["--m"],
+                  ["--theta"], ["--gamma"], ["--eta"], ["--nu"], ["--eps1"], ["--lipschitz"],
+                  ["--strict-requires"], ["--f-low"], ["--out"]]
+
+OPTION_STRINGS = {
+    "run": [["-h", "--help"], ["--config"], ["--problem"], ["--eps-f"], ["--eps-g"],
+            ["--eps-ls"], *SOLVER_OPTIONS],
+    "sweep": [["-h", "--help"], *SOLVER_OPTIONS],
+    "verify": [["-h", "--help"], ["--min-step"], ["--goldstein"], ["--goldstein-eps"]],
+    "train": [["-h", "--help"], ["--config"], ["--mode"], ["--batch"], ["--eps-f"],
+              ["--eps-ls-grid"], ["--num-points"], ["--num-features"], ["--separation"],
+              ["--data-seed"], ["--hidden"], *SOLVER_OPTIONS],
+}
+
+SCHEMAS = {"run": cli.RUN_SCHEMA, "sweep": cli.SWEEP_SCHEMA, "train": cli.TRAIN_SCHEMA}
+
+
+def subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestParser:
+    def test_option_strings_in_order(self):
+        for name, sub in subparsers().items():
+            assert [a.option_strings for a in sub._actions if a.option_strings] == \
+                OPTION_STRINGS[name], name
+
+    def test_schema_keys_with_help_are_flags(self):
+        subs = subparsers()
+        for name, schema in SCHEMAS.items():
+            dests = {a.dest for a in subs[name]._actions}
+            for key, (_, _, text) in schema.items():
+                assert (key in dests) == (text is not None), (name, key)
+
+    def test_every_shown_default_comes_from_the_table(self):
+        for name, sub in subparsers().items():
+            schema = SCHEMAS.get(name, {})
+            for action in sub._actions:
+                default, convert, text = schema.get(action.dest, (None, None, action.help))
+                assert "default" not in text, (name, action.dest)
+                if default is None:
+                    assert "(default" not in action.help, (name, action.dest)
+                    continue
+                assert action.help.startswith(text + " (default ") and action.help[-1] == ")"
+                shown = action.help[len(text) + len(" (default "):-1]
+                assert convert(shown) == convert(default), (name, action.dest, shown)
+
+
 class TestVerify:
     def test_reports_estimate_and_witnessed_bound(self, stationary_dir, capsys):
         assert call("verify", stationary_dir) == 0
@@ -288,7 +340,8 @@ class TestVerify:
         assert call("verify", broken) == 65
 
     @pytest.mark.parametrize("key,value,text", [("gamma", 1.0, "gamma must lie in (0, 1)"),
-                                                ("eps1", 0.0, "eps1 must be positive")])
+                                                ("eps1", 0.0, "eps1 must be positive"),
+                                                ("eps_ls", -1.0, "eps_ls must be positive")])
     def test_bad_parameter_in_run_json_is_reported_against_run_json(
             self, key, value, text, stationary_dir, tmp_path, capsys):
         edited = tmp_path / "edited"
@@ -451,6 +504,14 @@ class TestSweep:
         assert params["eps_ls"] == 2.1 * 0.01
         assert params["seed"] == 1
 
+    def test_cells_share_the_run_slack_floor(self, tmp_path, out_dir):
+        # 2.1 * 1e-13 lies below the auto slack's 1e-12 floor, as in `run`.
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(f"eps_f_levels: [1e-13]\nrepeats: 1\nbudget: 3\nout: {out_dir}\n")
+        assert call("sweep", cfg) == 0
+        params = read_json(out_dir / "runs" / "eps_f_1e-13_seed_0" / "run.json")["params"]
+        assert params["eps_ls"] == 1e-12
+
     def test_flags_override_the_config_file(self, tmp_path, out_dir):
         cfg = self.sweep_config(tmp_path, out_dir)
         assert call("sweep", cfg, "--budget", "10") == 0
@@ -562,6 +623,14 @@ class TestTrain:
         assert code == 64
         assert "eps_ls must be" in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify", "train"])
+def test_subcommand_help_runs_in_a_subprocess(command):
+    result = subprocess.run([sys.executable, "-m", "noisygs.cli", command, "--help"],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.startswith(f"usage: noisygs {command}")
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

@@ -441,6 +441,14 @@ class TestCertify:
         level = (6.0 * 2.1e-4 * (1e3 + 1e-2) / (1e-10 * 0.5)) ** (1.0 / 3.0)
         assert cert.level == pytest.approx(level, rel=1e-12)
 
+    def test_steps_shorter_than_min_step_give_no_estimate(self):
+        # Every step is 25 long.
+        hist = self.steps(reduced=True)
+        assert certify(hist, self.NOISY, eps_ls=2.1e-4, min_step=25.0).lipschitz == 0.4
+        cert = certify(hist, self.NOISY, eps_ls=2.1e-4, min_step=25.5)
+        assert cert.lipschitz is None
+        assert math.isinf(cert.level) and cert.vacuous
+
     def test_no_estimate_leaves_the_level_infinite(self):
         cert = certify([record(1, reduced=True)], SolverParams(), eps_ls=1e-12)
         assert math.isinf(cert.level) and math.isinf(cert.bound)

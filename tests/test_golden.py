@@ -31,6 +31,10 @@ LIPSCHITZ_RUN_DIGESTS = {
     "run.json": "f2edd19e1846360b811e5c97f6b16173e5e188de04306701809f1300a57d7dd0",
 }
 
+# stdout of `verify --goldstein 100` after `run --eps-f 1e-4 --seed 0 --budget
+# 3000`, a run that ends Stationary: the estimate's exact-gradient columns.
+GOLDSTEIN_VERIFY_DIGEST = "338d0183b05c8687365854733d19fa045e5358e84f156fd3d43d82c5068b007a"
+
 SWEEP_DIGEST = "85c37393f5d6003e2bbaed6ca61c7ecf79c7620b4edc4d4e23f0440f2a0e4976"
 
 # `train` in the fixed-batch mode of the mlp_train benchmark workload, and
@@ -127,6 +131,17 @@ def lipschitz_run_dir(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(LIPSCHITZ_RUN_DIGESTS))
 def test_lipschitz_run_files_match_their_digests(lipschitz_run_dir, name):
     assert sha256(lipschitz_run_dir / name) == LIPSCHITZ_RUN_DIGESTS[name]
+
+
+def test_goldstein_verify_stdout_matches_its_digest(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--eps-f", "1e-4", "--seed", "0", "--budget", "3000",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(out), "--goldstein", "100"]) == 0
+    stdout = capsys.readouterr().out
+    assert "status: Stationary" in stdout
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDSTEIN_VERIFY_DIGEST
 
 
 def test_sweep_csv_matches_its_digest(tmp_path):

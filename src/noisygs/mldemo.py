@@ -22,15 +22,10 @@ from .oracle import OracleHandle, TruthAccess, _canonical_bytes, keyed_seed
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix of shape (N, p) with 0/1 labels of shape (N,).
-
-    standardized promises zero-mean unit-variance feature columns and is
-    checked on construction.
-    """
+    """Feature matrix of shape (N, p) with 0/1 labels of shape (N,)."""
 
     features: np.ndarray
     labels: np.ndarray
-    standardized: bool = False
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
@@ -41,11 +36,6 @@ class Dataset:
             raise ValueError("dataset must be nonempty")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("labels must be 0 or 1")
-        if self.standardized:
-            mu = X.mean(axis=0)
-            var = X.var(axis=0)
-            if np.max(np.abs(mu)) > 1e-10 or np.max(np.abs(var - 1.0)) > 1e-8:
-                raise ValueError("standardized data must have mean 0, variance 1 columns")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
 
@@ -70,7 +60,7 @@ def synth_dataset(num_points: int, num_features: int, separation: float,
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd[sd == 0.0] = 1.0
-    return Dataset(features=(X - mu) / sd, labels=y, standardized=True)
+    return Dataset(features=(X - mu) / sd, labels=y)
 
 
 def weight_count(num_features: int, hidden: int = 10) -> int:
@@ -112,6 +102,12 @@ def _mean_bce(logit: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(v) / v.shape[0])
 
 
+def _logit(w: np.ndarray, X: np.ndarray, hidden: int) -> np.ndarray:
+    """Network output at each row of X for the flat weight vector w."""
+    W1, b1, w2, b2 = _unpack(w, X.shape[1], hidden)
+    return np.maximum(X @ W1.T + b1, 0.0) @ w2 + b2
+
+
 def _forward_loss(w, X, y, hidden: int) -> float:
     """Mean binary cross entropy only, skipping the backward pass.
 
@@ -119,11 +115,9 @@ def _forward_loss(w, X, y, hidden: int) -> float:
     the gradient work is worth avoiding there.
     """
     w = np.asarray(w, dtype=float)
-    num_features = X.shape[1]
-    if w.shape != (weight_count(num_features, hidden),):
+    if w.shape != (weight_count(X.shape[1], hidden),):
         raise ValueError("weight vector has the wrong length")
-    W1, b1, w2, b2 = _unpack(w, num_features, hidden)
-    return _mean_bce(np.maximum(X @ W1.T + b1, 0.0) @ w2 + b2, y)
+    return _mean_bce(_logit(w, X, hidden), y)
 
 
 def _logits_and_grads(W, X, y, hidden: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +163,7 @@ def loss_and_grad(w, X, y, hidden: int = 10) -> tuple[float, np.ndarray]:
 
 def accuracy(data: Dataset, w, hidden: int = 10) -> float:
     """Fraction of rows classified correctly, ties going to the positive class."""
-    w = np.asarray(w, dtype=float)
-    W1, b1, w2, b2 = _unpack(w, data.features.shape[1], hidden)
-    logit = np.maximum(data.features @ W1.T + b1, 0.0) @ w2 + b2
+    logit = _logit(np.asarray(w, dtype=float), data.features, hidden)
     return float(np.mean((logit >= 0.0) == (data.labels == 1.0)))
 
 
@@ -233,16 +225,16 @@ class BatchOracleConfig:
 
 
 def _last_point_memo(fn):
-    """fn with a one-entry cache on its last argument's exact bytes.
+    """fn with a one-entry cache on its last argument's _canonical_bytes.
 
-    An array result is handed out as a copy, so a caller that mutates it
-    cannot change what the next call returns.
+    -0.0 and +0.0 are one point, as in the noise fields. A returned array is a
+    copy, so a caller that mutates it cannot change what the next call returns.
     """
     last: dict = {"key": None, "value": None}
 
     def memo(w):
         w = np.asarray(w, dtype=float)
-        key = (w.shape, w.tobytes())
+        key = _canonical_bytes(w)
         if key != last["key"]:
             last["value"] = fn(w)
             last["key"] = key
@@ -258,16 +250,15 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
 
     Truth access always evaluates the full dataset and remembers its last
     point, so reporting f and g at an iterate that did not move costs no
-    second full-data pass. In fixed mode the handle's meta dict holds the
-    batch state; in adaptive mode it tracks samples_total (sum of rows used
-    per distinct query point) and last_used. Fixed mode rejects batch
-    sizes above the dataset size and is flagged as not deterministic, since
-    the same w can see different batches; its eval_g carries a stacked
-    `many` that evaluates a whole gradient bundle on the last batch.
+    second full-data pass. In adaptive mode the handle's meta dict tracks
+    samples_total, the rows used summed over queries that moved off the
+    last point. Fixed mode rejects batch sizes above the dataset size and is
+    flagged as not deterministic, since the same w can see different
+    batches; its eval_g carries a stacked `many` that evaluates a whole
+    gradient bundle on the last batch.
     """
     X, y = data.features, data.labels
-    num_features = X.shape[1]
-    dims = weight_count(num_features, hidden)
+    dims = weight_count(X.shape[1], hidden)
 
     def full_f(w):
         return _forward_loss(w, X, y, hidden)
@@ -284,25 +275,22 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
     if config.mode == "fixed":
         if config.batch_size > X.shape[0]:
             raise ValueError("batch_size exceeds the dataset size")
-        state: dict = {"counter": 0, "batch": None}
-        # One generator for the oracle's lifetime; its position is the
-        # iteration counter, so the batch sequence is a pure function of
-        # resample_seed while each draw stays cheap.
+        batch = None
+        # One generator for the oracle's lifetime, so the batch sequence is a
+        # pure function of resample_seed while each draw stays cheap.
         batch_rng = np.random.default_rng(np.random.SeedSequence(config.resample_seed))
 
         def draw_batch():
-            state["counter"] += 1
+            nonlocal batch
             idx = batch_rng.choice(X.shape[0], size=config.batch_size, replace=False)
-            state["batch"] = idx
-            return idx
+            batch = X.take(idx, axis=0), y.take(idx)
+            return batch
 
         def last_batch():
-            idx = state["batch"] if state["batch"] is not None else draw_batch()
-            return X.take(idx, axis=0), y.take(idx)
+            return batch if batch is not None else draw_batch()
 
         def fixed_f(w):
-            idx = draw_batch()
-            return _forward_loss(w, X.take(idx, axis=0), y.take(idx), hidden)
+            return _forward_loss(w, *draw_batch(), hidden)
 
         def fixed_g(w):
             return loss_and_grad(w, *last_batch(), hidden)[1]
@@ -311,22 +299,16 @@ def bce_loss_oracle(data: Dataset, config: BatchOracleConfig = BatchOracleConfig
         fixed_g.many = lambda points: _logits_and_grads(points, *last_batch(), hidden)[1]
 
         return OracleHandle(dims=dims, eval_f=fixed_f, eval_g=fixed_g, truth_access=truth,
-                            deterministic=False, meta={"state": state})
+                            deterministic=False)
 
-    meta = {"samples_total": 0, "last_used": 0}
-    cache: dict = {"key": None, "value": None}
+    meta = {"samples_total": 0}
 
+    @_last_point_memo
     def adaptive(w):
-        w = np.asarray(w, dtype=float)
-        key = _canonical_bytes(w)
-        if cache["key"] != key:
-            loss, grad, used = adaptive_batch_eval(data, w, config.eps_f,
-                                                   config.resample_seed, hidden)
-            cache["key"] = key
-            cache["value"] = (loss, grad, used)
-            meta["samples_total"] += used
-            meta["last_used"] = used
-        return cache["value"]
+        loss, grad, used = adaptive_batch_eval(data, w, config.eps_f,
+                                               config.resample_seed, hidden)
+        meta["samples_total"] += used
+        return loss, grad
 
     def adaptive_f(w):
         return adaptive(w)[0]

@@ -78,21 +78,24 @@ class OracleHandle:
     meta: dict = field(default_factory=dict)
 
     def eval_g_many(self, points) -> Array:
-        """Gradients at each row of points, as a (k, dims) array.
+        """Gradients at each row of points, as a (k, dims) array."""
+        return eval_rows(self.eval_g, points)
 
-        An eval_g that can evaluate a whole stack at once carries that
-        implementation as its `many` attribute. The batch travels with the
-        callable, so a handle rebuilt around another eval_g calls that
-        eval_g once per row instead.
-        """
-        points = np.asarray(points, dtype=float)
-        many = getattr(self.eval_g, "many", None)
-        if many is not None:
-            return many(points)
-        out = np.empty((len(points), self.dims))
-        for i, point in enumerate(points):
-            out[i] = self.eval_g(point)
-        return out
+
+def eval_rows(fn: Callable[[Array], Array], points) -> Array:
+    """fn at each row of a (k, n) stack of points, as a (k, n) array.
+
+    fn's `many` attribute, when it has one, evaluates the whole stack and gives
+    each row the bytes fn gives that row alone; otherwise fn runs once per row.
+    """
+    points = np.asarray(points, dtype=float)
+    many = getattr(fn, "many", None)
+    if many is not None:
+        return np.asarray(many(points), dtype=float)
+    out = np.empty(points.shape)
+    for i, point in enumerate(points):
+        out[i] = fn(point)
+    return out
 
 
 def exact_oracle(dims: int, f: Callable[[Array], float], g: Callable[[Array], Array]) -> OracleHandle:
@@ -280,17 +283,10 @@ def wrap_with_uniform_noise(exact: OracleHandle, bounds: NoiseBounds, noise_seed
     if eps_g == 0.0:
         noisy_g = truth.g
     else:
-        truth_many = getattr(truth.g, "many", None)
-
         def many(points: Array) -> Array:
             # keyed_ball and clamp_ball treat every row of a stack as they
             # treat the same row alone, so a stack gets the bytes of k calls.
-            if truth_many is not None:
-                grads = np.asarray(truth_many(points), dtype=float)
-            else:
-                grads = np.empty(points.shape)
-                for i, point in enumerate(points):
-                    grads[i] = truth.g(point)
+            grads = eval_rows(truth.g, points)
             noise = keyed_ball(noise_seed, points, eps_g, n, b"g")
             return clamp_ball(grads + noise, grads, eps_g)
 

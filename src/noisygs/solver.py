@@ -84,8 +84,8 @@ class SolverParams:
             raise ValueError("eps1 must be positive and finite")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
-        for name in ("eps_ls", "lipschitz"):
-            value = getattr(self, name)
+        for name, value in (("eps_ls", resolve_eps_ls(self.eps_ls, self.bounds.eps_f)),
+                            ("lipschitz", self.lipschitz)):
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
         if not (0.0 < self.alpha_min < 1.0):
@@ -252,13 +252,18 @@ def terminal_bound_eps(params: SolverParams, eps_ls: float, lipschitz: float) ->
     """Radius level below which the terminal aggregate-norm bound applies."""
     eps_g = params.bounds.eps_g
     cube = 6.0 * eps_ls * (lipschitz + eps_g) / (params.eta * params.gamma * params.nu ** 2)
-    return max(cube ** (1.0 / 3.0), 5.0 * eps_g)
+    return max(cube ** (1.0 / 3.0), _noise_floor(eps_g))
+
+
+def _noise_floor(eps_g: float) -> float:
+    """The 5 eps_g floor: an aggregate norm below it is taken to be noise."""
+    return 5.0 * eps_g
 
 
 def radius_reduced(norm_g: float, eps_k: float, nu: float, eps_g: float) -> bool:
     """Whether an iteration with aggregate norm norm_g at radius eps_k shrinks
     the radius instead of line searching."""
-    return norm_g <= max(nu * eps_k, 5.0 * eps_g)
+    return norm_g <= max(nu * eps_k, _noise_floor(eps_g))
 
 
 def step_cutoff(params: SolverParams, eps_k: float) -> float:

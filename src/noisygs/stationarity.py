@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minnorm import GradientBundle, solve_min_norm
-from .oracle import OracleHandle
+from .oracle import OracleHandle, eval_rows
 from .sampler import sample_ball
 
 
@@ -47,11 +47,8 @@ def estimate_goldstein(oracle: OracleHandle, x, eps: float, num_samples: int,
     if num_samples < n + 1:
         raise ValueError(f"num_samples must be at least dims + 1 = {n + 1}")
 
-    pts = sample_ball(x, eps, num_samples, master_seed, stream_id)
-    columns = np.empty((n, num_samples + 1))
-    columns[:, 0] = np.asarray(oracle.truth_access.g(x), dtype=float)
-    for i in range(num_samples):
-        columns[:, i + 1] = np.asarray(oracle.truth_access.g(pts[i]), dtype=float)
+    points = np.vstack([x, sample_ball(x, eps, num_samples, master_seed, stream_id)])
+    columns = np.ascontiguousarray(eval_rows(oracle.truth_access.g, points).T)
     sol = solve_min_norm(GradientBundle(columns=columns, center=x, radius=eps), tol)
     return StationarityEstimate(value=float(np.linalg.norm(sol.aggregate)),
                                 witness=sol.aggregate, eps=float(eps),

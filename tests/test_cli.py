@@ -207,6 +207,12 @@ class TestRun:
         assert call("run", flag, value, "--budget", "5", "--out", out_dir) == 64
         assert text in capsys.readouterr().err
 
+    def test_an_auto_slack_that_overflows_is_a_usage_error(self, out_dir, capsys):
+        # 2.1 * eps_f overflows to inf once eps_f passes about 8.6e307.
+        assert call("run", "--eps-f", "1e308", "--budget", "2", "--out", out_dir) == 64
+        assert "eps_ls must be positive and finite" in capsys.readouterr().err
+        assert not (out_dir / "run.json").exists()
+
 
 @pytest.fixture(scope="module")
 def stationary_dir(tmp_path_factory):
@@ -526,6 +532,15 @@ class TestSweep:
         for row in rows[1:]:
             assert row[2] == ""
             assert row[5].startswith("error:")
+
+    def test_a_level_whose_auto_slack_overflows_gets_an_error_row(self, tmp_path, out_dir):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(f"eps_f_levels: [1e-2, 1e308]\nrepeats: 1\nbudget: 3\nout: {out_dir}\n")
+        assert call("sweep", cfg) == 0
+        rows = read_rows(out_dir / "sweep.csv")
+        assert rows[1][5] == "BudgetExhausted"
+        assert rows[2][5] == "error: eps_ls must be positive and finite"
+        assert not (out_dir / "runs" / "eps_f_1e+308_seed_0").exists()
 
     def test_empty_level_list_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"

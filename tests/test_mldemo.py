@@ -1,6 +1,7 @@
 """Small ReLU network training demo: losses, batching modes, and data plumbing."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from noisygs.mldemo import (
     Dataset,
     accuracy,
     adaptive_batch_eval,
+    _forward_loss,
     bce_loss_oracle,
     init_weights,
     loss_and_grad,
@@ -22,6 +24,14 @@ from testkit import finite_diff_grad
 @pytest.fixture(scope="module")
 def data():
     return synth_dataset(1024, 13, 4.0, seed=5)
+
+
+def replayed_batches(data, batch_size, seed):
+    """The fixed-mode oracle's documented batch sequence, as (X, y) row pairs."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    while True:
+        idx = rng.choice(data.features.shape[0], size=batch_size, replace=False)
+        yield data.features[idx], data.labels[idx]
 
 
 def test_weight_count_for_the_reference_shape():
@@ -66,7 +76,6 @@ class TestSynthDataset:
     def test_shapes_and_standardization(self, data):
         assert data.features.shape == (1024, 13)
         assert data.labels.shape == (1024,)
-        assert data.standardized
         assert np.max(np.abs(data.features.mean(axis=0))) < 1e-10
         assert np.max(np.abs(data.features.var(axis=0) - 1.0)) < 1e-8
 
@@ -101,11 +110,6 @@ class TestDatasetContainer:
     def test_shape_mismatch_checked(self):
         with pytest.raises(ValueError):
             Dataset(features=np.ones((3, 1)), labels=np.zeros(2))
-
-    def test_standardized_claim_is_verified(self):
-        X = np.array([[5.0], [7.0]])
-        with pytest.raises(ValueError):
-            Dataset(features=X, labels=np.array([0.0, 1.0]), standardized=True)
 
 
 def test_init_weights_range_and_seed():
@@ -190,14 +194,14 @@ class TestFixedOracle:
     def test_gradient_reuses_the_last_value_batch(self, data):
         oracle = bce_loss_oracle(data, BatchOracleConfig(mode="fixed", batch_size=128,
                                                          resample_seed=3))
+        batches = replayed_batches(data, 128, 3)
         w = init_weights(13, 10, seed=1)
-        oracle.eval_f(w)
-        idx = oracle.meta["state"]["batch"]
-        grad = oracle.eval_g(w)
-        expected = loss_and_grad(w, data.features[idx], data.labels[idx])[1]
-        assert np.array_equal(grad, expected)
-        # The gradient call must not advance the batch sequence.
-        assert np.array_equal(oracle.meta["state"]["batch"], idx)
+        for _ in range(2):
+            rows = next(batches)
+            assert oracle.eval_f(w) == _forward_loss(w, *rows, 10)
+            # The gradient calls must not advance the batch sequence.
+            for _ in range(2):
+                assert np.array_equal(oracle.eval_g(w), loss_and_grad(w, *rows)[1])
 
     def test_batch_sequence_is_a_function_of_the_seed(self, data):
         w = init_weights(13, 10, seed=0)
@@ -211,38 +215,40 @@ class TestFixedOracle:
 
     def test_counter_advances_per_value_query(self, data):
         oracle = bce_loss_oracle(data, BatchOracleConfig(mode="fixed", batch_size=32))
-        w = np.zeros(151)
-        oracle.eval_f(w)
-        oracle.eval_f(w)
-        assert oracle.meta["state"]["counter"] == 2
+        w = init_weights(13, 10, seed=4)
+        expected = [_forward_loss(w, *rows, 10)
+                    for rows in islice(replayed_batches(data, 32, 0), 3)]
+        assert len(set(expected)) == 3
+        assert [oracle.eval_f(w) for _ in range(3)] == expected
 
     def test_native_bundle_equals_the_per_point_path(self, data):
         oracle = bce_loss_oracle(data, BatchOracleConfig(mode="fixed", batch_size=128,
                                                          resample_seed=4))
+        batches = replayed_batches(data, 128, 4)
         rng = np.random.default_rng(6)
         for _ in range(5):
             w = init_weights(13, 10, seed=int(rng.integers(100)))
-            oracle.eval_f(w)
+            rows = next(batches)
+            # A bundle that drew a batch would shift the next value query's.
+            assert oracle.eval_f(w) == _forward_loss(w, *rows, 10)
             points = w + 0.3 * rng.normal(size=(11, 151))
-            counter = oracle.meta["state"]["counter"]
             many = oracle.eval_g_many(points)
-            assert oracle.meta["state"]["counter"] == counter
-            idx = oracle.meta["state"]["batch"]
             assert np.array_equal(many, np.stack([oracle.eval_g(p) for p in points]))
             for p, g in zip(points, many):
-                assert np.array_equal(g, loss_and_grad(p, data.features[idx],
-                                                       data.labels[idx])[1])
+                assert np.array_equal(g, loss_and_grad(p, *rows)[1])
 
     def test_native_bundle_draws_one_batch_when_none_exists(self, data):
         cfg = BatchOracleConfig(mode="fixed", batch_size=64, resample_seed=2)
         native = bce_loss_oracle(data, cfg)
         per_point = bce_loss_oracle(data, cfg)
+        first, second = islice(replayed_batches(data, 64, 2), 2)
         points = np.random.default_rng(1).normal(size=(4, 151))
         many = native.eval_g_many(points)
-        assert native.meta["state"]["counter"] == 1
+        assert np.array_equal(many, np.stack([loss_and_grad(p, *first)[1] for p in points]))
         assert np.array_equal(many, np.stack([per_point.eval_g(p) for p in points]))
-        assert per_point.meta["state"]["counter"] == 1
-        assert np.array_equal(native.meta["state"]["batch"], per_point.meta["state"]["batch"])
+        # Each drew exactly one batch, so the next value query sees the second.
+        w = init_weights(13, 10, seed=0)
+        assert native.eval_f(w) == per_point.eval_f(w) == _forward_loss(w, *second, 10)
 
     def test_oversized_batch_rejected(self, data):
         with pytest.raises(ValueError):
@@ -286,9 +292,14 @@ class TestTruthMemo:
         monkeypatch.setattr(mldemo, "loss_and_grad", counted_backward)
         truth = bce_loss_oracle(data, BatchOracleConfig(mode="fixed")).truth_access
         w = init_weights(13, 10, seed=3)
+        w[0] = 0.0
+        signed = w.copy()
+        signed[0] = -0.0  # -0.0 and +0.0 are one point
         for _ in range(3):
             truth.f(w)
-            truth.g(w.copy())
+            truth.g(signed)
+        truth.f(signed)
+        truth.g(w)
         assert calls == {"f": 1, "g": 1}
         moved = w.copy()
         moved[0] += 1e-12
@@ -303,7 +314,7 @@ class TestAdaptiveOracle:
         w = init_weights(13, 10, seed=0)
         f = oracle.eval_f(w)
         g = oracle.eval_g(w)
-        used = oracle.meta["last_used"]
+        used = adaptive_batch_eval(data, w, 0.05, seed=0)[2]
         assert used >= 16
         assert oracle.meta["samples_total"] == used
         # Same point, so the cached pair must be returned without new rows.
@@ -311,7 +322,8 @@ class TestAdaptiveOracle:
         assert oracle.meta["samples_total"] == used
         w2 = init_weights(13, 10, seed=1)
         oracle.eval_f(w2)
-        assert oracle.meta["samples_total"] > used
+        assert oracle.meta["samples_total"] == used + adaptive_batch_eval(data, w2, 0.05,
+                                                                           seed=0)[2]
         assert g.shape == (151,)
         assert oracle.deterministic
 

@@ -13,6 +13,7 @@ from noisygs.oracle import (
     _word_to_uniform,
     clamp_ball,
     clamp_scalar,
+    eval_rows,
     exact_oracle,
     keyed_ball,
     keyed_seed,
@@ -141,6 +142,22 @@ def scaled_norms(rows: np.ndarray, exponent: int) -> np.ndarray:
 
 
 class TestEvalGMany:
+    def test_eval_rows_stacked_and_per_row_paths_agree_bitwise(self):
+        # Goldstein-sized bundles: a centre plus 100 ball points, at radii
+        # that put rows on both sides of Rosenbrock's kink.
+        g = rosenbrock_ns()[0].truth_access.g
+        assert hasattr(g, "many")
+        rng = np.random.default_rng(11)
+        branches = set()
+        for k in range(20):
+            center = rng.normal(size=2)
+            points = np.vstack([center, sample_ball(center, 10.0 ** -(k % 5), 100, k, 0)])
+            stacked = eval_rows(g, points)
+            assert stacked.shape == (101, 2)
+            assert stacked.tobytes() == np.stack([g(p) for p in points]).tobytes()
+            assert stacked.tobytes() == eval_rows(lambda p: g(p), points).tobytes()
+            branches.update(stacked[:, 1])
+        assert branches == {-100.0, 100.0}
     def test_without_a_batch_it_stacks_eval_g(self):
         calls = []
 

@@ -517,3 +517,10 @@ class TestParamConstruction:
             for value in values:
                 with pytest.raises(ValueError, match=text):
                     SolverParams(**{key: value})
+
+    def test_an_auto_slack_that_overflows_is_rejected(self):
+        # 2.1 * eps_f overflows to inf once eps_f passes about 8.6e307.
+        with pytest.raises(ValueError, match="eps_ls must be positive and finite"):
+            SolverParams(bounds=NoiseBounds(eps_f=1e308))
+        SolverParams(bounds=NoiseBounds(eps_f=8e307))
+        SolverParams(bounds=NoiseBounds(eps_f=1e308), eps_ls=1.0)

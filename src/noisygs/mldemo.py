@@ -42,11 +42,11 @@ class Dataset:
 
 def synth_dataset(num_points: int, num_features: int, separation: float,
                   seed: int = 0) -> Dataset:
-    """Two standardized Gaussian clouds separated along the first feature.
+    """Two Gaussian clouds separated along the first feature.
 
     Half the points (rounded down) carry label 1 and are shifted by
     +separation/2 on feature 0, the rest by -separation/2. Rows are
-    shuffled and features standardized to zero mean, unit variance.
+    shuffled and features scaled to zero mean, unit variance.
     """
     if num_points < 2 or num_features < 1:
         raise ValueError("need at least 2 points and 1 feature")

@@ -39,7 +39,6 @@ from .problems import Problem, load_problem
 from .solver import (
     TRAJECTORY_MAX_DIMS,
     IterateRecord,
-    NoQualifyingStepsError,
     RunResult,
     RunStatus,
     SolverParams,
@@ -313,7 +312,7 @@ def _run_and_write(problem_name: str, problem: Problem, params: SolverParams,
     result = run(noisy, problem.spec.default_start, params)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "history.csv", HISTORY_HEADER, _history_rows(result))
-    n = problem.spec.dims
+    n = problem.oracle.dims
     if n <= TRAJECTORY_MAX_DIMS:
         header = ["k"] + [f"x{i + 1}" for i in range(n)]
         rows = ([rec.k] + [float(v) for v in rec.x] for rec in result.history)
@@ -342,7 +341,7 @@ def cmd_run(ns: argparse.Namespace, parser: _Parser) -> int:
     if truth is not None:
         print(f"final f_true: {_fmt_cell(float(truth.f(result.final_x)))}")
     print(f"wrote: {out / 'history.csv'}")
-    if problem.spec.dims <= TRAJECTORY_MAX_DIMS:
+    if problem.oracle.dims <= TRAJECTORY_MAX_DIMS:
         print(f"wrote: {out / 'trajectory.csv'}")
     print(f"wrote: {out / 'run.json'}")
     return _STATUS_EXIT[result.status]
@@ -447,10 +446,7 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
     # Without a given constant, certify has already estimated it.
     estimate = cert.lipschitz
     if run_params.lipschitz is not None:
-        try:
-            estimate = estimate_lipschitz(records, ns.min_step)
-        except NoQualifyingStepsError:
-            estimate = None
+        estimate = estimate_lipschitz(records, ns.min_step)
     print(f"status: {meta.get('status', 'unknown')}")
     print(f"iterations: {len(records)}")
     if estimate is None:

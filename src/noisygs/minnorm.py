@@ -10,8 +10,8 @@ columns, jump to the norm minimizer of the corral's affine hull, and
 alternately add the most violating column (major cycle) or walk back to the
 hull boundary and drop a vertex whose weight would turn negative (minor
 cycle). Termination is certified, not assumed: the returned point g satisfies
-min_i g.c_i >= |g|^2 - tol * (1 + |g|^2) over all columns c_i, subject to a
-floor of a few machine epsilons times the largest squared column norm, which
+min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2) over all columns c_i, subject
+to a floor of a few machine epsilons times the largest squared column norm, which
 is the resolution the certificate can be evaluated to at all. The floor
 matters when the hull of large gradients contains the origin: the optimum is
 then exactly zero, and no float64 combination of 1e3-scale columns can cancel
@@ -127,7 +127,7 @@ def _affine_solve(P: np.ndarray, corral: list) -> tuple[list, np.ndarray]:
     return [1.0 - _total(coefs)] + coefs, point
 
 
-def _min_norm_weights(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _min_norm_weights(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, c = P.shape
     cap = 50 * c
     sq = np.einsum("ij,ij->j", P, P)
@@ -140,7 +140,7 @@ def _min_norm_weights(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
         xx = float(x @ x)
         scores = x @ P
         j = int(scores.argmin())
-        if scores[j] >= xx - max(tol * (1.0 + xx), floor):
+        if scores[j] >= xx - max(DEFAULT_TOL * (1.0 + xx), floor):
             break
         if j in corral:
             # The most violating column is already in the corral, so no
@@ -194,16 +194,14 @@ def _min_norm_weights(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return weights, x
 
 
-def solve_min_norm(bundle: GradientBundle, tol: float = DEFAULT_TOL) -> QPSolution:
+def solve_min_norm(bundle: GradientBundle) -> QPSolution:
     """Aggregate a gradient bundle into its min-norm convex combination.
 
-    tol controls the relative optimality certificate
-    min_i g.c_i >= |g|^2 - tol * (1 + |g|^2), floored at a few machine
-    epsilons times the largest squared column norm (see the module notes).
-    Raises MinNormNonConvergence when the certificate cannot be met within
-    50 * c cycles.
+    The result meets the relative optimality certificate
+    min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2), with DEFAULT_TOL = 1e-10,
+    floored at a few machine epsilons times the largest squared column norm
+    (see the module notes). Raises MinNormNonConvergence when the certificate
+    cannot be met within 50 * c cycles.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    weights, aggregate = _min_norm_weights(bundle.columns, tol)
+    weights, aggregate = _min_norm_weights(bundle.columns)
     return QPSolution(weights=weights, aggregate=aggregate)

@@ -1,8 +1,8 @@
 """Benchmark objectives with exact first-order information attached.
 
 Each constructor returns an exact OracleHandle (truth included) plus a
-ProblemSpec describing dimension, canonical start, and what is known about
-the optimum. The registry maps command-line names onto these constructors
+ProblemSpec holding the canonical start and, where one is known, a global
+Lipschitz constant. The registry maps command-line names onto these constructors
 and knows how to attach noise to each problem.
 """
 
@@ -27,8 +27,6 @@ from .oracle import (
 class ProblemSpec:
     """Static facts about a benchmark problem."""
 
-    name: str
-    dims: int
     default_start: np.ndarray
     lipschitz_hint: Optional[float] = None
 
@@ -61,12 +59,7 @@ def rosenbrock_ns() -> tuple[OracleHandle, ProblemSpec]:
 
     g.many = g_many
 
-    spec = ProblemSpec(
-        name="rosenbrock",
-        dims=2,
-        default_start=np.array([-1.2, 1.0]),
-    )
-    return exact_oracle(2, f, g), spec
+    return exact_oracle(2, f, g), ProblemSpec(default_start=np.array([-1.2, 1.0]))
 
 
 def abs_composite(phi: Callable[[float], float], dphi: Callable[[float], float],
@@ -134,8 +127,6 @@ def max_of_linear(A, b) -> tuple[OracleHandle, ProblemSpec]:
         return A[int(np.argmax(vals))].copy()
 
     spec = ProblemSpec(
-        name="max_linear",
-        dims=n,
         default_start=np.zeros(n),
         lipschitz_hint=float(np.max(np.linalg.norm(A, axis=1))),
     )
@@ -183,8 +174,6 @@ def load_problem(name: str) -> Problem:
     if name == "abs_composite":
         oracle = abs_composite(_identity, _one, noise_bound=0.0)
         spec = ProblemSpec(
-            name="abs_composite",
-            dims=1,
             default_start=np.array([1.0]),
             lipschitz_hint=1.0,
         )

@@ -13,22 +13,12 @@ import numpy as np
 from .oracle import clamp_ball
 
 
-def iteration_stream(master_seed: int, stream_id: int) -> np.random.Generator:
-    """Independent generator for one iteration's draws.
-
-    Keyed by (master_seed, stream_id), so the draws of iteration k do not
-    depend on how many random numbers earlier iterations consumed.
-    """
-    if master_seed < 0:
-        raise ValueError("master_seed must be nonnegative")
-    if stream_id < 0:
-        raise ValueError("stream_id must be nonnegative")
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(stream_id),))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
-def ball_points(rng: np.random.Generator, center, radius: float, count: int) -> np.ndarray:
+def sample_ball(center, radius: float, count: int, master_seed: int, stream_id: int) -> np.ndarray:
     """Draw `count` points uniformly from the closed ball B(center, radius).
+
+    Returns a (count, n) array, one point per row, drawn on the substream
+    keyed by (master_seed, stream_id). The same (center, radius, count,
+    master_seed, stream_id) always reproduces the same points bit for bit.
 
     Direction is a normalized Gaussian vector, the radial factor is
     radius * U**(1/n). Membership in the closed ball is a hard guarantee,
@@ -36,6 +26,12 @@ def ball_points(rng: np.random.Generator, center, radius: float, count: int) -> 
     rounding left outside, and a point it cannot pull back becomes the
     center.
     """
+    if master_seed < 0:
+        raise ValueError("master_seed must be nonnegative")
+    if stream_id < 0:
+        raise ValueError("stream_id must be nonnegative")
+    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(stream_id),))
+    rng = np.random.Generator(np.random.PCG64(seq))
     center = np.asarray(center, dtype=float)
     if center.ndim != 1:
         raise ValueError("center must be a vector")
@@ -51,13 +47,3 @@ def ball_points(rng: np.random.Generator, center, radius: float, count: int) -> 
     norms[norms == 0.0] = 1.0
     radii = radius * rng.random(count) ** (1.0 / n)
     return clamp_ball(center + directions * (radii / norms)[:, None], center, radius)
-
-
-def sample_ball(center, radius: float, count: int, master_seed: int, stream_id: int) -> np.ndarray:
-    """Draw one batch from B(center, radius) on the given substream.
-
-    Returns a (count, n) array, one point per row. The same (center, radius,
-    count, master_seed, stream_id) always reproduces the same points bit for
-    bit.
-    """
-    return ball_points(iteration_stream(master_seed, stream_id), center, radius, count)

@@ -16,7 +16,7 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class RunStatus(Enum):
     QP_FAILURE = "QPFailure"
 
 
-class NoQualifyingStepsError(RuntimeError):
-    """No accepted step was long enough to estimate a Lipschitz ratio from."""
-
-
 @dataclass(frozen=True)
 class SolverParams:
     """Knobs of the sampling loop.
@@ -53,6 +49,7 @@ class SolverParams:
         max(n + 1, 10).
     eps_ls: line search slack; None resolves to max(2.1 * eps_f, 1e-12).
     eps_min: radius level that ends the run as near-stationary.
+    alpha_min: the fixed step floor, a class constant rather than a field.
     f_low: value floor below which the objective counts as diverging.
     strict_requires: refuse to run when the admissibility conditions fail
         instead of recording them as warnings.
@@ -67,13 +64,12 @@ class SolverParams:
     eps1: float = 10.0
     eps_ls: Optional[float] = None
     lipschitz: Optional[float] = None
-    alpha_min: float = 1e-20
-    qp_tol: float = 1e-10
     eps_min: float = 1e-6
     budget: int = 10_000
     f_low: float = -1e12
     master_seed: int = 0
     strict_requires: bool = False
+    alpha_min: ClassVar[float] = 1e-20
 
     def __post_init__(self):
         # Mechanical sanity only; the theory-side admissibility conditions
@@ -88,10 +84,6 @@ class SolverParams:
                             ("lipschitz", self.lipschitz)):
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
-        if not (0.0 < self.alpha_min < 1.0):
-            raise ValueError("alpha_min must lie in (0, 1)")
-        if not (self.qp_tol > 0.0):
-            raise ValueError("qp_tol must be positive")
         if not (np.isfinite(self.eps_min) and self.eps_min >= 0.0):
             raise ValueError("eps_min must be nonnegative and finite")
         if self.budget < 0:
@@ -222,7 +214,8 @@ class RunResult:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def estimate_lipschitz(history: Sequence[IterateRecord], min_step: float = 1e-9) -> float:
+def estimate_lipschitz(history: Sequence[IterateRecord],
+                       min_step: float = 1e-9) -> Optional[float]:
     """Largest |value difference| / step length over the recorded steps.
 
     Uses consecutive history rows with an accepted step. The step length is
@@ -230,6 +223,7 @@ def estimate_lipschitz(history: Sequence[IterateRecord], min_step: float = 1e-9)
     direction is the negated aggregate. Steps shorter than min_step are
     skipped: with noisy values the ratio diverges as the step shrinks.
     Overestimates (noise inflates differences) rather than underestimates.
+    Returns None when no step qualifies.
     """
     if not (min_step > 0.0):
         raise ValueError("min_step must be positive")
@@ -243,9 +237,7 @@ def estimate_lipschitz(history: Sequence[IterateRecord], min_step: float = 1e-9)
         ratio = abs(nxt.f_tilde - prev.f_tilde) / step
         if best is None or ratio > best:
             best = ratio
-    if best is None:
-        raise NoQualifyingStepsError(f"no accepted steps of length >= {min_step}")
-    return float(best)
+    return None if best is None else float(best)
 
 
 def terminal_bound_eps(params: SolverParams, eps_ls: float, lipschitz: float) -> float:
@@ -286,10 +278,7 @@ def certify(history: Sequence[IterateRecord], params: SolverParams,
     """
     lipschitz = params.lipschitz
     if lipschitz is None:
-        try:
-            lipschitz = estimate_lipschitz(history, min_step)
-        except NoQualifyingStepsError:
-            lipschitz = None
+        lipschitz = estimate_lipschitz(history, min_step)
     if lipschitz is None or not (params.eta > 0.0 and params.nu > 0.0):
         level = math.inf
     else:
@@ -359,8 +348,7 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
         columns[:] = oracle.eval_g_many(np.vstack([x, points])).T
         g_evals += m + 1
         try:
-            sol = solve_min_norm(GradientBundle(columns=columns, center=x, radius=eps),
-                                 params.qp_tol)
+            sol = solve_min_norm(GradientBundle(columns=columns, center=x, radius=eps))
         except MinNormNonConvergence:
             status = RunStatus.QP_FAILURE
             break

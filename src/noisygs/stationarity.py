@@ -23,13 +23,10 @@ from .sampler import sample_ball
 class StationarityEstimate:
     value: float
     witness: np.ndarray
-    eps: float
-    sample_count: int
 
 
 def estimate_goldstein(oracle: OracleHandle, x, eps: float, num_samples: int,
-                       master_seed: int = 0, stream_id: int = 0,
-                       tol: float = 1e-10) -> StationarityEstimate:
+                       master_seed: int = 0, stream_id: int = 0) -> StationarityEstimate:
     """Min-norm element of the hull of exact gradients sampled in a ball.
 
     Gradients are taken at x itself plus num_samples points drawn uniformly
@@ -49,7 +46,6 @@ def estimate_goldstein(oracle: OracleHandle, x, eps: float, num_samples: int,
 
     points = np.vstack([x, sample_ball(x, eps, num_samples, master_seed, stream_id)])
     columns = np.ascontiguousarray(eval_rows(oracle.truth_access.g, points).T)
-    sol = solve_min_norm(GradientBundle(columns=columns, center=x, radius=eps), tol)
+    sol = solve_min_norm(GradientBundle(columns=columns, center=x, radius=eps))
     return StationarityEstimate(value=float(np.linalg.norm(sol.aggregate)),
-                                witness=sol.aggregate, eps=float(eps),
-                                sample_count=num_samples)
+                                witness=sol.aggregate)

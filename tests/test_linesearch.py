@@ -158,7 +158,7 @@ class TestParamValidation:
 
     def test_cutoff_validation(self):
         assert step_cutoff(SolverParams(), 1.0) == 1e-20
-        assert step_cutoff(SolverParams(alpha_min=1e-3, lipschitz=2.0), 1.0) == 0.5 / 6.0
+        assert step_cutoff(SolverParams(lipschitz=2.0), 1.0) == 0.5 / 6.0
         for min_step in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
                 search(linear_descent_oracle(), [0.0], [-1.0], 0.0, min_step=min_step)

@@ -213,9 +213,5 @@ class TestValidation:
         with pytest.raises(ValueError):
             GradientBundle(columns=np.ones((2, 2)), center=np.zeros(3), radius=1.0)
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            solve_min_norm(bundle_of([[1.0, -1.0]]), tol=0.0)
-
     def test_nonconvergence_is_a_runtime_error(self):
         assert issubclass(MinNormNonConvergence, RuntimeError)

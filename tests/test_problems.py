@@ -55,7 +55,7 @@ class TestRosenbrock:
         assert checked > 30
 
     def test_spec_facts(self):
-        assert self.spec.dims == 2
+        assert self.oracle.dims == 2
         assert np.array_equal(self.spec.default_start, [-1.2, 1.0])
         assert self.f(np.array([1.0, 1.0])) == 0.0
 
@@ -145,7 +145,6 @@ class TestRegistry:
     def test_rosenbrock_entry(self):
         prob = load_problem("rosenbrock")
         assert isinstance(prob, Problem)
-        assert prob.spec.name == "rosenbrock"
         assert prob.oracle.truth_access is not None
 
     def test_noisy_rosenbrock_respects_bounds_and_seed(self):
@@ -175,7 +174,7 @@ class TestRegistry:
         path = tmp_path / "pieces.txt"
         path.write_text("1 0\n-1 0\n")
         prob = load_problem(f"max_linear:{path}")
-        assert prob.spec.dims == 1
+        assert prob.oracle.dims == 1
         assert prob.oracle.truth_access.f(np.array([-4.0])) == 4.0
 
     def test_max_linear_missing_path(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from noisygs.sampler import ball_points, iteration_stream, sample_ball
+from noisygs.sampler import sample_ball
 from testkit import ks_critical_1pct, ks_statistic
 
 
@@ -91,13 +91,6 @@ def test_directions_are_isotropic():
     # the 3d unit ball. Allow three sigmas.
     sigma = np.sqrt(1.0 / 5.0 / 10_000)
     assert np.all(np.abs(mean) < 3.0 * sigma)
-
-
-def test_iteration_stream_feeds_ball_points():
-    rng = iteration_stream(master_seed=9, stream_id=4)
-    pts = ball_points(rng, np.array([1.0, -2.0]), 0.5, 30)
-    s = sample_ball(np.array([1.0, -2.0]), 0.5, 30, master_seed=9, stream_id=4)
-    assert np.array_equal(pts, s)
 
 
 class TestValidation:

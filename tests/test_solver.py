@@ -11,7 +11,6 @@ from noisygs.problems import load_problem, max_of_linear
 from noisygs.sampler import sample_ball
 from noisygs.solver import (
     IterateRecord,
-    NoQualifyingStepsError,
     RunStatus,
     SolverParams,
     certify,
@@ -133,7 +132,7 @@ class TestTerminationStatuses:
         assert res.history[-1].f_tilde >= -51.5
 
     def test_qp_failure(self, monkeypatch):
-        def explode(bundle, tol):
+        def explode(bundle):
             raise MinNormNonConvergence("synthetic")
         monkeypatch.setattr("noisygs.solver.solve_min_norm", explode)
         res = run(abs_oracle(), np.array([2.0]), SolverParams())
@@ -360,13 +359,11 @@ class TestEstimateLipschitz:
     def test_short_steps_are_skipped(self):
         hist = [record(1, alpha=1e-12, norm=1e-3, f_tilde=1.0),
                 record(2, f_tilde=0.0)]
-        with pytest.raises(NoQualifyingStepsError):
-            estimate_lipschitz(hist)
+        assert estimate_lipschitz(hist) is None
 
     def test_null_steps_alone_do_not_qualify(self):
         hist = [record(1, reduced=True), record(2, reduced=True)]
-        with pytest.raises(NoQualifyingStepsError):
-            estimate_lipschitz(hist)
+        assert estimate_lipschitz(hist) is None
 
     def test_min_step_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -465,8 +462,7 @@ def test_step_follows_the_negated_aggregate():
     m = resolve_m(params.m, x0.size)
     points = sample_ball(x0, params.eps1, m, params.master_seed, 1)
     columns = np.column_stack([problem.oracle.eval_g(p) for p in [x0, *points]])
-    sol = solve_min_norm(GradientBundle(columns=columns, center=x0, radius=params.eps1),
-                         params.qp_tol)
+    sol = solve_min_norm(GradientBundle(columns=columns, center=x0, radius=params.eps1))
     assert np.array_equal(res.final_x, x0 + alpha * -sol.aggregate)
 
 
@@ -505,8 +501,6 @@ class TestParamConstruction:
             SolverParams(budget=-1)
         with pytest.raises(ValueError):
             SolverParams(master_seed=-1)
-        with pytest.raises(ValueError):
-            SolverParams(alpha_min=0.0)
         with pytest.raises(ValueError):
             SolverParams(eps_min=-1e-9)
         # The line search's constants: its loop ends only for gamma in

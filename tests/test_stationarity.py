@@ -53,8 +53,6 @@ def test_polyhedral_first_order_point():
 def test_witness_stays_in_the_sampled_hull():
     est = estimate_goldstein(abs_oracle(), np.zeros(1), eps=0.3, num_samples=100)
     assert -1.0 <= est.witness[0] <= 1.0
-    assert est.eps == 0.3
-    assert est.sample_count == 100
 
 
 def test_same_seed_reproduces():

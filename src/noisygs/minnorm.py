@@ -121,7 +121,10 @@ def _affine_solve(P: np.ndarray, corral: list) -> tuple[list, np.ndarray]:
     if len(corral) == 1:
         return [1.0], base.copy()
     D = P[:, corral[1:]] - base[:, np.newaxis]
-    mu = np.linalg.lstsq(D, -base, rcond=None)[0]
+    try:
+        mu = np.linalg.lstsq(D, -base, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:  # e.g. column differences that overflow
+        raise MinNormNonConvergence(f"min-norm affine solve failed: {exc}") from exc
     point = base + D @ mu
     coefs = mu.tolist()
     return [1.0 - _total(coefs)] + coefs, point
@@ -201,7 +204,7 @@ def solve_min_norm(bundle: GradientBundle) -> QPSolution:
     min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2), with DEFAULT_TOL = 1e-10,
     floored at a few machine epsilons times the largest squared column norm
     (see the module notes). Raises MinNormNonConvergence when the certificate
-    cannot be met within 50 * c cycles.
+    cannot be met within 50 * c cycles or an affine solve fails.
     """
     weights, aggregate = _min_norm_weights(bundle.columns)
     return QPSolution(weights=weights, aggregate=aggregate)

@@ -166,6 +166,17 @@ class TestRun:
         monkeypatch.setattr("noisygs.solver.solve_min_norm", explode)
         assert call("run", "--budget", "50", "--out", out_dir) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_bundle_ends_in_qp_failure(self, tmp_path, out_dir, capsys):
+        pieces = tmp_path / "huge.txt"
+        pieces.write_text("1e308 0\n-1e308 0\n")
+        assert call("run", "--problem", f"max_linear:{pieces}", "--eps-f", "1e-4",
+                    "--out", out_dir) == 3
+        assert "status: QPFailure" in capsys.readouterr().out
+        assert read_json(out_dir / "run.json")["status"] == "QPFailure"
+        assert (out_dir / "history.csv").exists()
+        assert (out_dir / "trajectory.csv").exists()
+
     def test_unknown_flag_is_a_usage_error(self):
         assert call("run", "--bogus", "1") == 64
 

@@ -215,3 +215,10 @@ class TestValidation:
 
     def test_nonconvergence_is_a_runtime_error(self):
         assert issubclass(MinNormNonConvergence, RuntimeError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_columns_raise_nonconvergence(self):
+        # Finite columns whose difference overflows: lstsq's LinAlgError
+        # must surface as the QP's own failure, not as a ValueError.
+        with pytest.raises(MinNormNonConvergence):
+            solve_min_norm(bundle_of([[1e308, -1e308]]))

@@ -485,8 +485,6 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
             parser.error(str(exc))
         print(f"goldstein estimate: {_fmt_cell(estimate.value)} "
               f"(radius {_fmt_cell(float(eps))}, {ns.goldstein} samples)")
-        floor = eps_g + max(eps_ls ** (1.0 / 3.0), eps_g)
-        print(f"noise floor scale: {_fmt_cell(floor)}")
     return EXIT_OK
 
 

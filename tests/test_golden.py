@@ -33,7 +33,7 @@ LIPSCHITZ_RUN_DIGESTS = {
 
 # stdout of `verify --goldstein 100` after `run --eps-f 1e-4 --seed 0 --budget
 # 3000`, a run that ends Stationary: the estimate's exact-gradient columns.
-GOLDSTEIN_VERIFY_DIGEST = "338d0183b05c8687365854733d19fa045e5358e84f156fd3d43d82c5068b007a"
+GOLDSTEIN_VERIFY_DIGEST = "9c27d67d29cd1c08baf05a0b628b60279c4953d08d7adb9429f81e2dcc642485"
 
 SWEEP_DIGEST = "85c37393f5d6003e2bbaed6ca61c7ecf79c7620b4edc4d4e23f0440f2a0e4976"
 

@@ -11,8 +11,8 @@ alternately add the most violating column (major cycle) or walk back to the
 hull boundary and drop a vertex whose weight would turn negative (minor
 cycle). Termination is certified, not assumed: the returned point g satisfies
 min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2) over all columns c_i, subject
-to a floor of a few machine epsilons times the largest squared column norm, which
-is the resolution the certificate can be evaluated to at all. The floor
+to a floor of a few machine epsilons times the largest squared column norm,
+which is the resolution the certificate can be evaluated to at all. The floor
 matters when the hull of large gradients contains the origin: the optimum is
 then exactly zero, and no float64 combination of 1e3-scale columns can cancel
 below roughly 1e-13. If the aggregation stalls there anyway (the most
@@ -201,10 +201,10 @@ def solve_min_norm(bundle: GradientBundle) -> QPSolution:
     """Aggregate a gradient bundle into its min-norm convex combination.
 
     The result meets the relative optimality certificate
-    min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2), with DEFAULT_TOL = 1e-10,
-    floored at a few machine epsilons times the largest squared column norm
-    (see the module notes). Raises MinNormNonConvergence when the certificate
-    cannot be met within 50 * c cycles or an affine solve fails.
+    min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2), floored at a few
+    machine epsilons times the largest squared column norm (see the module
+    notes). Raises MinNormNonConvergence when the certificate cannot be met
+    within 50 * c cycles or an affine solve fails.
     """
     weights, aggregate = _min_norm_weights(bundle.columns)
     return QPSolution(weights=weights, aggregate=aggregate)

@@ -2,8 +2,8 @@
 
 Each constructor returns an exact OracleHandle (truth included) plus a
 ProblemSpec holding the canonical start and, where one is known, a global
-Lipschitz constant. The registry maps command-line names onto these constructors
-and knows how to attach noise to each problem.
+Lipschitz constant. The registry maps command-line names onto these
+constructors and knows how to attach noise to each problem.
 """
 
 from __future__ import annotations

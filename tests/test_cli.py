@@ -314,7 +314,6 @@ class TestVerify:
         # The estimate is read against the terminal bound verify prints.
         bound = float(out.split("terminal bound: ")[1].split("\n")[0])
         assert float(line.split()[0]) <= bound
-        assert "noise floor scale" not in out
 
     def test_run_without_steps_has_no_estimate(self, tmp_path, capsys):
         out = tmp_path / "idle"

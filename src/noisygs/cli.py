@@ -34,6 +34,7 @@ from .mldemo import (
     init_weights,
     synth_dataset,
 )
+from .minnorm import MinNormNonConvergence
 from .oracle import NoiseBounds
 from .problems import Problem, load_problem
 from .solver import (
@@ -481,7 +482,7 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
             estimate = estimate_goldstein(problem.oracle, np.asarray(final_x, dtype=float),
                                           eps, ns.goldstein,
                                           master_seed=int(params["seed"]), stream_id=0)
-        except ValueError as exc:
+        except (ValueError, MinNormNonConvergence) as exc:
             parser.error(str(exc))
         print(f"goldstein estimate: {_fmt_cell(estimate.value)} "
               f"(radius {_fmt_cell(float(eps))}, {ns.goldstein} samples)")

@@ -176,6 +176,10 @@ class TestRun:
         assert read_json(out_dir / "run.json")["status"] == "QPFailure"
         assert (out_dir / "history.csv").exists()
         assert (out_dir / "trajectory.csv").exists()
+        assert call("verify", out_dir) == 0
+        # The Goldstein estimate's QP overflows too: a usage error, not a traceback.
+        assert call("verify", out_dir, "--goldstein", "5") == 64
+        assert "min-norm affine solve failed" in capsys.readouterr().err
 
     def test_unknown_flag_is_a_usage_error(self):
         assert call("run", "--bogus", "1") == 64

@@ -8,6 +8,7 @@ subcommand's --help work.
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -288,6 +289,23 @@ class TestParser:
                 assert action.help.startswith(text + " (default ") and action.help[-1] == ")"
                 shown = action.help[len(text) + len(" (default "):-1]
                 assert convert(shown) == convert(default), (name, action.dest, shown)
+
+    # sha256 of each --help text at 80 columns, taken with Python 3.11.7;
+    # argparse's layout differs between Python versions.
+    HELP_DIGESTS = {
+        "": "8cf9941deb4922aad2d8fcf2f5ff3b34fa2ed5923b87a1cb8308cce3f2bc0f71",
+        "run": "1c0b9d8c5348e079bfdc379be9e7e8e5d9ed66267c14640205e35781dd86ee84",
+        "sweep": "9212d9ff3853354b7988723191e75b316d8cd05c6354a25e430d88e992548383",
+        "verify": "f78db8914098f8cdf0a47ad2ee18bbe7b2c11dfb40d5c9c383b45de1ff92fc2f",
+        "train": "52077eb42e6237fb83f2e64146dd725381c45b2c48d09937a3c2603cc9ad1b8f",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+    def test_help_text_matches_its_digest(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert call(*command.split(), "--help") == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.HELP_DIGESTS[command]
 
 
 class TestVerify:

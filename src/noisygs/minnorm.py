@@ -123,7 +123,7 @@ def _affine_solve(P: np.ndarray, corral: list) -> tuple[list, np.ndarray]:
     D = P[:, corral[1:]] - base[:, np.newaxis]
     try:
         mu = np.linalg.lstsq(D, -base, rcond=None)[0]
-    except np.linalg.LinAlgError as exc:  # e.g. column differences that overflow
+    except np.linalg.LinAlgError as exc:  # e.g. an SVD that does not converge
         raise MinNormNonConvergence(f"min-norm affine solve failed: {exc}") from exc
     point = base + D @ mu
     coefs = mu.tolist()
@@ -136,6 +136,12 @@ def _min_norm_weights(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sq = np.einsum("ij,ij->j", P, P)
     # Below this slack the certificate is fp noise, not information.
     floor = 4.0 * _EPS * float(sq.max())
+    if floor == np.inf:
+        # An infinite floor would certify any point; overflowing differences
+        # would also reach lstsq, whose LAPACK call prints to stdout.
+        raise MinNormNonConvergence(
+            "min-norm aggregation failed: squared column norms overflow"
+        )
     corral = [int(sq.argmin())]
     w = [1.0]
     x = P[:, corral[0]].copy()
@@ -204,7 +210,8 @@ def solve_min_norm(bundle: GradientBundle) -> QPSolution:
     min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2), floored at a few
     machine epsilons times the largest squared column norm (see the module
     notes). Raises MinNormNonConvergence when the certificate cannot be met
-    within 50 * c cycles or an affine solve fails.
+    within 50 * c cycles, a squared column norm overflows, or an affine
+    solve fails.
     """
     weights, aggregate = _min_norm_weights(bundle.columns)
     return QPSolution(weights=weights, aggregate=aggregate)

@@ -180,7 +180,7 @@ class TestRun:
         assert call("verify", out_dir) == 0
         # The Goldstein estimate's QP overflows too: a usage error, not a traceback.
         assert call("verify", out_dir, "--goldstein", "5") == 64
-        assert "min-norm affine solve failed" in capsys.readouterr().err
+        assert "squared column norms overflow" in capsys.readouterr().err
 
     def test_unknown_flag_is_a_usage_error(self):
         assert call("run", "--bogus", "1") == 64

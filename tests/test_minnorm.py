@@ -218,7 +218,21 @@ class TestValidation:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_columns_raise_nonconvergence(self):
-        # Finite columns whose difference overflows: lstsq's LinAlgError
-        # must surface as the QP's own failure, not as a ValueError.
+        # Finite columns whose squared norms overflow: the QP's own failure,
+        # not a ValueError, and raised before any affine solve.
         with pytest.raises(MinNormNonConvergence):
             solve_min_norm(bundle_of([[1e308, -1e308]]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_columns_reach_no_lapack_call(self, capfd):
+        # LAPACK reports a column difference that overflows on stdout itself.
+        with pytest.raises(MinNormNonConvergence):
+            solve_min_norm(bundle_of([[1e308, -1e308]]))
+        assert capfd.readouterr().out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_column_whose_square_overflows_is_refused(self):
+        # The hull of (1e155, 0), (1, 0) and (-1, 0) holds the origin, so
+        # (1, 0) is no optimum, yet an infinite floor would certify it.
+        with pytest.raises(MinNormNonConvergence):
+            solve_min_norm(bundle_of([[1e155, 1.0, -1.0], [0.0, 0.0, 0.0]]))

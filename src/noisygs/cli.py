@@ -9,6 +9,9 @@ environment variable, then the working directory.
 
 Exit codes: 0 for Stationary or BudgetExhausted, 2 for ObjectiveDiverging,
 3 for QPFailure, 64 for usage errors, 65 for malformed run directories.
+Commands raise, and main alone turns an error into code 64 or 65: a
+ValueError, OSError or MinNormNonConvergence, such as a bad value or an
+output location that cannot be written, is a usage error.
 """
 
 from __future__ import annotations
@@ -77,21 +80,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _BadRunDir(Exception):
+    """A run directory verify cannot read; main exits 65 with its message."""
+
+
 def _int(v) -> int:
-    out = int(str(v), 0) if isinstance(v, str) else int(v)
-    return out
+    # Through str, so a config value such as 2.5 or yes fails as the flag does.
+    return int(str(v), 0)
 
 
-def _opt_int(v) -> Optional[int]:
-    if v is None or (isinstance(v, str) and v.lower() in ("none", "")):
-        return None
-    return _int(v)
-
-
-def _opt_float(v) -> Optional[float]:
-    if v is None or (isinstance(v, str) and v.lower() in ("none", "")):
-        return None
-    return float(v)
+def _optional(convert):
+    """convert, with None, "none" and "" read as unset."""
+    def parse(v):
+        if v is None or (isinstance(v, str) and v.lower() in ("none", "")):
+            return None
+        return convert(v)
+    return parse
 
 
 def _float_or_auto(v) -> Optional[float]:
@@ -141,7 +145,7 @@ SOLVER_FLAGS = {
 
 _DEFAULTS = SolverParams()
 _CONVERTERS = {int: _int, float: float, bool: _bool,
-               Optional[int]: _opt_int, Optional[float]: _opt_float}
+               Optional[int]: _optional(_int), Optional[float]: _optional(float)}
 _FIELD_TYPES = get_type_hints(SolverParams)
 
 # Each subcommand's options as key -> (default, converter, help), in flag order.
@@ -188,37 +192,36 @@ TRAIN_SCHEMA = {
 }
 
 
-def _load_config_file(path, parser: _Parser) -> dict:
+def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = yaml.safe_load(fh)
     except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}") from exc
     except yaml.YAMLError as exc:
-        parser.error(f"cannot parse config file: {exc}")
+        raise ValueError(f"cannot parse config file: {exc}") from exc
     if loaded is None:
         return {}
     if not isinstance(loaded, dict):
-        parser.error("config file root must be a mapping")
+        raise ValueError("config file root must be a mapping")
     return {str(key).replace("-", "_"): value for key, value in loaded.items()}
 
 
-def _merge_options(schema: dict, file_values: dict, ns: argparse.Namespace,
-                   parser: _Parser) -> dict:
+def _options(schema: dict, ns: argparse.Namespace) -> dict:
+    """Schema defaults, overridden by the ns.config file, overridden by flags."""
     merged = {key: entry[0] for key, entry in schema.items()}
+    file_values = _load_config_file(ns.config) if ns.config is not None else {}
     for key, value in file_values.items():
         if key not in schema:
-            parser.error(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         merged[key] = value
-    for key, value in vars(ns).items():
-        if key in schema:
-            merged[key] = value
+    merged.update((key, value) for key, value in vars(ns).items() if key in schema)
     out = {}
     for key, (_, convert, _) in schema.items():
         try:
             out[key] = convert(merged[key])
-        except (TypeError, ValueError):
-            parser.error(f"bad value for {key!r}: {merged[key]!r}")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad value for {key!r}: {merged[key]!r}") from exc
     return out
 
 
@@ -322,20 +325,13 @@ def _run_and_write(problem_name: str, problem: Problem, params: SolverParams,
     return result
 
 
-def cmd_run(ns: argparse.Namespace, parser: _Parser) -> int:
-    file_values = _load_config_file(ns.config, parser) if getattr(ns, "config", None) else {}
-    opts = _merge_options(RUN_SCHEMA, file_values, ns, parser)
-    try:
-        problem = load_problem(opts["problem"])
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
-    try:
-        params = _solver_params(opts, _noise_bounds(opts["eps_f"], opts["eps_g"]),
-                                eps_ls=opts["eps_ls"], master_seed=opts["seed"])
-        out = _resolve_out(opts["out"])
-        result = _run_and_write(opts["problem"], problem, params, opts["noise_seed"], out)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_run(ns: argparse.Namespace) -> int:
+    opts = _options(RUN_SCHEMA, ns)
+    problem = load_problem(opts["problem"])
+    params = _solver_params(opts, _noise_bounds(opts["eps_f"], opts["eps_g"]),
+                            eps_ls=opts["eps_ls"], master_seed=opts["seed"])
+    out = _resolve_out(opts["out"])
+    result = _run_and_write(opts["problem"], problem, params, opts["noise_seed"], out)
     print(f"status: {result.status.value}")
     print(f"iterations: {len(result.history)}")
     truth = problem.oracle.truth_access
@@ -348,18 +344,14 @@ def cmd_run(ns: argparse.Namespace, parser: _Parser) -> int:
     return _STATUS_EXIT[result.status]
 
 
-def cmd_sweep(ns: argparse.Namespace, parser: _Parser) -> int:
-    file_values = _load_config_file(ns.config_path, parser)
-    opts = _merge_options(SWEEP_SCHEMA, file_values, ns, parser)
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    opts = _options(SWEEP_SCHEMA, ns)
     if opts["repeats"] < 1:
-        parser.error("repeats must be at least 1")
+        raise ValueError("repeats must be at least 1")
     levels = opts["eps_f_levels"]
     if not levels or any(not (level > 0.0) for level in levels):
-        parser.error("eps_f_levels must be a nonempty list of positive values")
-    try:
-        problem = load_problem(opts["problem"])
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        raise ValueError("eps_f_levels must be a nonempty list of positive values")
+    problem = load_problem(opts["problem"])
     out = _resolve_out(opts["out"])
     runs_dir = out / "runs"
     truth = problem.oracle.truth_access
@@ -381,11 +373,6 @@ def cmd_sweep(ns: argparse.Namespace, parser: _Parser) -> int:
                                    "total_f_evals", "status"], rows)
     print(f"wrote: {out / 'sweep.csv'} ({len(rows)} rows)")
     return EXIT_OK
-
-
-def _fail_run_dir(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_BAD_RUN_DIR
 
 
 def _parse_history(path: Path, nu: float, eps_g: float) -> list[IterateRecord]:
@@ -415,9 +402,9 @@ def _parse_history(path: Path, nu: float, eps_g: float) -> list[IterateRecord]:
 _REQUIRED_PARAM_KEYS = ("eps_f", "eps_g", "eps_ls", "theta", "gamma", "eta", "nu", "seed")
 
 
-def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
+def cmd_verify(ns: argparse.Namespace) -> int:
     if not (ns.min_step > 0.0):
-        parser.error("--min-step must be positive")
+        raise ValueError("--min-step must be positive")
     run_dir = Path(ns.run_dir)
     meta_path = run_dir / "run.json"
     hist_path = run_dir / "history.csv"
@@ -425,10 +412,10 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        return _fail_run_dir(f"cannot read {meta_path}: {exc}")
+        raise _BadRunDir(f"cannot read {meta_path}: {exc}") from exc
     params = meta.get("params")
     if not isinstance(params, dict) or any(key not in params for key in _REQUIRED_PARAM_KEYS):
-        return _fail_run_dir(f"{meta_path} lacks the run parameters")
+        raise _BadRunDir(f"{meta_path} lacks the run parameters")
     try:
         flags = {key: convert(params.get(key, default))
                  for key, (default, convert, _) in _SOLVER_KEYS.items() if key in SOLVER_FLAGS}
@@ -437,12 +424,12 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
             flags, NoiseBounds(eps_f=float(params["eps_f"]), eps_g=float(params["eps_g"])),
             eps_ls=eps_ls)
     except (ValueError, TypeError) as exc:
-        return _fail_run_dir(f"{meta_path} holds invalid run parameters: {exc}")
+        raise _BadRunDir(f"{meta_path} holds invalid run parameters: {exc}") from exc
     eps_g = run_params.bounds.eps_g
     try:
         records = _parse_history(hist_path, run_params.nu, eps_g)
     except (OSError, ValueError, TypeError) as exc:
-        return _fail_run_dir(f"cannot parse {hist_path}: {exc}")
+        raise _BadRunDir(f"cannot parse {hist_path}: {exc}") from exc
     cert = certify(records, run_params, eps_ls, ns.min_step)
     # Without a given constant, certify has already estimated it.
     estimate = cert.lipschitz
@@ -470,20 +457,17 @@ def cmd_verify(ns: argparse.Namespace, parser: _Parser) -> int:
         problem_name = meta.get("problem")
         final_x = meta.get("final_x")
         if not isinstance(problem_name, str) or not isinstance(final_x, list):
-            return _fail_run_dir(f"{meta_path} lacks problem or final_x")
+            raise _BadRunDir(f"{meta_path} lacks problem or final_x")
         try:
             problem = load_problem(problem_name)
         except (ValueError, OSError) as exc:
-            return _fail_run_dir(f"cannot rebuild problem {problem_name!r}: {exc}")
+            raise _BadRunDir(f"cannot rebuild problem {problem_name!r}: {exc}") from exc
         eps = ns.goldstein_eps
         if eps is None:
             eps = records[-1].eps_k if records else run_params.eps1
-        try:
-            estimate = estimate_goldstein(problem.oracle, np.asarray(final_x, dtype=float),
-                                          eps, ns.goldstein,
-                                          master_seed=int(params["seed"]), stream_id=0)
-        except (ValueError, MinNormNonConvergence) as exc:
-            parser.error(str(exc))
+        estimate = estimate_goldstein(problem.oracle, np.asarray(final_x, dtype=float),
+                                      eps, ns.goldstein,
+                                      master_seed=int(params["seed"]), stream_id=0)
         print(f"goldstein estimate: {_fmt_cell(estimate.value)} "
               f"(radius {_fmt_cell(float(eps))}, {ns.goldstein} samples)")
     return EXIT_OK
@@ -500,38 +484,27 @@ def _moving_average(values: Sequence[float], window: int = 8) -> list[float]:
     return out
 
 
-def cmd_train(ns: argparse.Namespace, parser: _Parser) -> int:
-    file_values = _load_config_file(ns.config, parser) if getattr(ns, "config", None) else {}
-    opts = _merge_options(TRAIN_SCHEMA, file_values, ns, parser)
+def cmd_train(ns: argparse.Namespace) -> int:
+    opts = _options(TRAIN_SCHEMA, ns)
     if opts["mode"] not in ("full", "fixed", "adaptive"):
-        parser.error(f"unknown mode {opts['mode']!r}")
+        raise ValueError(f"unknown mode {opts['mode']!r}")
     grid = opts["eps_ls_grid"]
     if not grid or any(not (value > 0.0) for value in grid):
-        parser.error("eps_ls_grid must be a nonempty list of positive values")
-    try:
-        data = synth_dataset(opts["num_points"], opts["num_features"],
-                             opts["separation"], opts["data_seed"])
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("eps_ls_grid must be a nonempty list of positive values")
+    data = synth_dataset(opts["num_points"], opts["num_features"],
+                         opts["separation"], opts["data_seed"])
     hidden = opts["hidden"]
     w0 = init_weights(opts["num_features"], hidden, opts["seed"])
     out = _resolve_out(opts["out"])
     mode = opts["mode"]
-    try:
-        bounds = _noise_bounds(opts["eps_f"]) if mode == "adaptive" else NoiseBounds()
-    except ValueError as exc:
-        parser.error(str(exc))
+    bounds = _noise_bounds(opts["eps_f"]) if mode == "adaptive" else NoiseBounds()
     # Every arm is built before the first one trains, so a bad value late in
     # the grid is a usage error with no CSV written.
-    try:
-        oracle_config = BatchOracleConfig(mode=mode, batch_size=opts["batch"],
-                                          eps_f=opts["eps_f"],
-                                          resample_seed=opts["noise_seed"])
-        arms = [(eps_ls, bce_loss_oracle(data, oracle_config, hidden),
-                 _solver_params(opts, bounds, eps_ls=eps_ls, master_seed=opts["seed"]))
-                for eps_ls in grid]
-    except ValueError as exc:
-        parser.error(str(exc))
+    oracle_config = BatchOracleConfig(mode=mode, batch_size=opts["batch"],
+                                      eps_f=opts["eps_f"], resample_seed=opts["noise_seed"])
+    arms = [(eps_ls, bce_loss_oracle(data, oracle_config, hidden),
+             _solver_params(opts, bounds, eps_ls=eps_ls, master_seed=opts["seed"]))
+            for eps_ls in grid]
     batch = opts["batch"] if mode == "fixed" else data.features.shape[0]
     names = ["f_true", "grad_norm", "eps_f_k", "eps_g_k"]
     header = ["k", *names, *(name + "_ma8" for name in names), "batch"]
@@ -582,7 +555,7 @@ def cmd_train(ns: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _add_flags(sub: argparse.ArgumentParser, schema: dict) -> None:
-    """One flag per schema key with help text; _merge_options applies the default."""
+    """One flag per schema key with help text; _options applies the default."""
     for key, (default, convert, text) in schema.items():
         if text is None:
             continue
@@ -606,7 +579,8 @@ def build_parser() -> _Parser:
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = subs.add_parser("sweep", help="run a noise-level grid from a config file")
-    sweep_p.add_argument("config_path", help="YAML config: problem, eps_f_levels, repeats, ...")
+    sweep_p.add_argument("config", metavar="config_path",
+                         help="YAML config: problem, eps_f_levels, repeats, ...")
     _add_flags(sweep_p, SWEEP_SCHEMA)
     sweep_p.set_defaults(func=cmd_sweep)
 
@@ -630,7 +604,13 @@ def build_parser() -> _Parser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    return ns.func(ns, parser)
+    try:
+        return ns.func(ns)
+    except _BadRunDir as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_RUN_DIR
+    except (ValueError, OSError, MinNormNonConvergence) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -223,6 +223,14 @@ class TestRun:
         assert call("run", flag, value, "--budget", "5", "--out", out_dir) == 64
         assert text in capsys.readouterr().err
 
+    def test_a_fractional_config_integer_is_a_usage_error(self, tmp_path, out_dir, capsys):
+        # The integer rule of --budget, which refuses 2.5, holds in the file too.
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("budget: 2.5\n")
+        assert call("run", "--config", cfg, "--out", out_dir) == 64
+        assert "bad value for 'budget': 2.5" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_an_auto_slack_that_overflows_is_a_usage_error(self, out_dir, capsys):
         # 2.1 * eps_f overflows to inf once eps_f passes about 8.6e307.
         assert call("run", "--eps-f", "1e308", "--budget", "2", "--out", out_dir) == 64
@@ -589,6 +597,17 @@ class TestSweep:
     def test_unreadable_config_is_a_usage_error(self, tmp_path):
         assert call("sweep", tmp_path / "missing.yaml") == 64
 
+    @pytest.mark.parametrize("line,shown", [("repeats: 1.9", "'repeats': 1.9"),
+                                            ("budget: yes", "'budget': True"),
+                                            ("budget: 2.5", "'budget': 2.5")])
+    def test_a_non_integer_count_is_a_usage_error(self, line, shown, tmp_path, out_dir,
+                                                  capsys):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(f"eps_f_levels: [0.1]\n{line}\nout: {out_dir}\n")
+        assert call("sweep", cfg) == 64
+        assert f"bad value for {shown}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestTrain:
     def test_fixed_mode_grid(self, out_dir, capsys):
@@ -680,6 +699,21 @@ def test_subcommand_help_runs_in_a_subprocess(command):
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert result.stdout.startswith(f"usage: noisygs {command}")
+
+
+@pytest.mark.parametrize("command", ["run", "train", "sweep"])
+def test_an_unwritable_output_location_is_a_usage_error(command, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = tmp_path / "sweep.yaml"
+    config.write_text("eps_f_levels: [0.1]\nrepeats: 1\n")
+    argv = ["sweep", str(config)] if command == "sweep" else [command]
+    result = subprocess.run(
+        [sys.executable, "-m", "noisygs.cli", *argv, "--budget", "1",
+         "--out", str(blocker / "sub")], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 64
+    assert "Not a directory" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

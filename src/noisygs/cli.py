@@ -486,8 +486,8 @@ def _moving_average(values: Sequence[float], window: int = 8) -> list[float]:
 
 def cmd_train(ns: argparse.Namespace) -> int:
     opts = _options(TRAIN_SCHEMA, ns)
-    if opts["mode"] not in ("full", "fixed", "adaptive"):
-        raise ValueError(f"unknown mode {opts['mode']!r}")
+    oracle_config = BatchOracleConfig(mode=opts["mode"], batch_size=opts["batch"],
+                                      eps_f=opts["eps_f"], resample_seed=opts["noise_seed"])
     grid = opts["eps_ls_grid"]
     if not grid or any(not (value > 0.0) for value in grid):
         raise ValueError("eps_ls_grid must be a nonempty list of positive values")
@@ -500,8 +500,6 @@ def cmd_train(ns: argparse.Namespace) -> int:
     bounds = _noise_bounds(opts["eps_f"]) if mode == "adaptive" else NoiseBounds()
     # Every arm is built before the first one trains, so a bad value late in
     # the grid is a usage error with no CSV written.
-    oracle_config = BatchOracleConfig(mode=mode, batch_size=opts["batch"],
-                                      eps_f=opts["eps_f"], resample_seed=opts["noise_seed"])
     arms = [(eps_ls, bce_loss_oracle(data, oracle_config, hidden),
              _solver_params(opts, bounds, eps_ls=eps_ls, master_seed=opts["seed"]))
             for eps_ls in grid]

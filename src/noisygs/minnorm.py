@@ -5,19 +5,21 @@ aggregates them into the convex combination of minimum Euclidean norm. The
 negated aggregate is the search direction, and its norm drives the
 stationarity test and the sampling-radius update.
 
-The solver is Wolfe's min-norm-point algorithm: keep a small "corral" of
-columns, jump to the norm minimizer of the corral's affine hull, and
-alternately add the most violating column (major cycle) or walk back to the
-hull boundary and drop a vertex whose weight would turn negative (minor
-cycle). Termination is certified, not assumed: the returned point g satisfies
-min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2) over all columns c_i, subject
-to a floor of a few machine epsilons times the largest squared column norm,
-which is the resolution the certificate can be evaluated to at all. The floor
-matters when the hull of large gradients contains the origin: the optimum is
-then exactly zero, and no float64 combination of 1e3-scale columns can cancel
-below roughly 1e-13. If the aggregation stalls there anyway (the most
-violating column is already in the corral) and the corral's affine hull is
-all of R^n, the exact optimum is zero and it is returned as such.
+The solver is Wolfe's min-norm-point algorithm. A small "corral" of columns
+carries convex weights w; each major cycle adds the most violating column.
+The norm minimizer of the corral's affine hull, with affine weights v, is
+accepted when every v_i > 0. Otherwise a minor cycle walks w toward v by
+theta = min w_i / (w_i - v_i) over the v_i <= 0 (a term is 0 when w_i <= 0),
+drops the vertex attaining it (lowest index on ties) and solves again.
+Termination is certified, not assumed: the returned point g satisfies
+min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2) over all columns c_i,
+subject to a floor of a few machine epsilons times the largest squared column
+norm, which is the resolution the certificate can be evaluated to at all. The
+floor matters when the hull of large gradients contains the origin: the
+optimum is then exactly zero, and no float64 combination of 1e3-scale columns
+can cancel below roughly 1e-13. If the aggregation stalls there anyway (the
+most violating column is already in the corral) and the corral's affine hull
+is all of R^n, the exact optimum is zero and it is returned as such.
 
 The corral holds a handful of columns, so its weights are kept as a list of
 Python floats: per-cycle NumPy calls on arrays that small cost more than
@@ -35,8 +37,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-# Corral weight below this counts as a vanished vertex.
-_ZERO_WEIGHT = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
@@ -168,30 +168,18 @@ def _min_norm_weights(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w.append(0.0)
         while True:
             v, point = _affine_solve(P, corral)
-            if all(vi > _ZERO_WEIGHT for vi in v):
+            if all(vi > 0.0 for vi in v):
                 x = point
                 w = v
                 break
-            # Minor cycle: walk from w toward v until the first shrinking
-            # weight reaches zero.
-            ratios = [wi / (wi - vi) for wi, vi in zip(w, v)
-                      if vi <= _ZERO_WEIGHT and wi - vi > 0.0]
-            if ratios:
-                theta = min(1.0, min(ratios))
-                w = [(1.0 - theta) * wi + theta * vi for wi, vi in zip(w, v)]
-                w = [0.0 if wi < _ZERO_WEIGHT else wi for wi in w]
-            # A shrinking vertex with no usable ratio already carries zero
-            # weight; either way, drop the lowest-index vanished vertex.
-            vanished = [i for i, (wi, vi) in enumerate(zip(w, v))
-                        if wi <= _ZERO_WEIGHT and vi <= _ZERO_WEIGHT]
-            if not vanished:
-                vanished = [i for i, wi in enumerate(w) if wi <= _ZERO_WEIGHT]
-            if not vanished:
-                raise MinNormNonConvergence(
-                    "min-norm aggregation hit a degenerate corral"
-                )
-            del corral[vanished[0]]
-            del w[vanished[0]]
+            # Minor cycle (see the module notes).
+            steps = [(wi / (wi - vi) if wi > 0.0 else 0.0, i)
+                     for i, (wi, vi) in enumerate(zip(w, v)) if vi <= 0.0]
+            if not steps:  # only a NaN weight fails both tests
+                raise MinNormNonConvergence("min-norm affine solve gave a NaN weight")
+            theta, i = min(steps)
+            w = [(1.0 - theta) * wi + theta * vi for wi, vi in zip(w, v)]
+            del corral[i], w[i]
             total = _total(w)
             w = [wi / total for wi in w]
     else:
@@ -210,8 +198,9 @@ def solve_min_norm(bundle: GradientBundle) -> QPSolution:
     min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2), floored at a few
     machine epsilons times the largest squared column norm (see the module
     notes). Raises MinNormNonConvergence when the certificate cannot be met
-    within 50 * c cycles, a squared column norm overflows, or an affine
-    solve fails.
+    within 50 * c cycles, the most violating column is already in a corral
+    whose affine hull is not all of R^n (a stall), a squared column norm
+    overflows, or an affine solve fails.
     """
     weights, aggregate = _min_norm_weights(bundle.columns)
     return QPSolution(weights=weights, aggregate=aggregate)

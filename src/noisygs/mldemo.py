@@ -217,7 +217,7 @@ class BatchOracleConfig:
 
     def __post_init__(self):
         if self.mode not in ("full", "fixed", "adaptive"):
-            raise ValueError(f"unknown batch mode {self.mode!r}")
+            raise ValueError(f"unknown mode {self.mode!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not (self.eps_f > 0.0):

@@ -669,6 +669,11 @@ class TestTrain:
         assert call("train", "--mode", "sideways") == 64
         assert "unknown mode" in capsys.readouterr().err
 
+    def test_a_bad_batch_size_creates_no_out_dir(self, tmp_path, capsys):
+        assert call("train", "--batch", "0", "--out", tmp_path / "sub") == 64
+        assert "batch_size must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
+
     def test_negative_error_target_is_a_usage_error(self):
         assert call("train", "--mode", "adaptive", "--eps-f", "-0.5") == 64
 

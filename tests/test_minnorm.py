@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from noisygs import minnorm
 from noisygs.minnorm import (
     DEFAULT_TOL,
     GradientBundle,
@@ -28,6 +29,14 @@ def certificate_violation(columns: np.ndarray, sol: QPSolution) -> float:
     """
     x = sol.aggregate
     return float(np.max(x @ x - columns.T @ x))
+
+
+def meets_solver_certificate(columns: np.ndarray, sol: QPSolution) -> bool:
+    """The solver's own test: relative slack DEFAULT_TOL, floored at 4 eps max|c|^2."""
+    x = sol.aggregate
+    xx = float(x @ x)
+    floor = 4.0 * np.finfo(float).eps * float(np.max(np.sum(columns * columns, axis=0)))
+    return certificate_violation(columns, sol) <= max(DEFAULT_TOL * (1.0 + xx), floor)
 
 
 class TestKnownAnswers:
@@ -169,6 +178,26 @@ class TestCertificate:
         assert np.count_nonzero(sol.weights) == 3
         assert np.linalg.norm(cols @ sol.weights) <= 1e-9
 
+    def test_a_tiny_positive_affine_weight_is_kept(self):
+        # The large column's affine weight is 5.4e-13. A zero threshold above
+        # that drops the column and re-adds it in the next major cycle until
+        # the cycle cap, though the optimum is 0.
+        cols = np.array([[2.00142468e+04, -1.07632915e-08]])
+        sol = solve_min_norm(bundle_of(cols))
+        assert meets_solver_certificate(cols, sol)
+        assert sol.weights[0] > 0.0
+
+    def test_bundles_with_per_column_scales_all_certify(self):
+        # Columns spread over 16 decades give corral weights far below any
+        # fixed zero threshold.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            c = int(rng.integers(2, 6))
+            cols = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-8.0, 8.0, size=c)
+            sol = solve_min_norm(bundle_of(cols))
+            assert meets_solver_certificate(cols, sol)
+
 
 class TestPinnedDigests:
     # sha256 of every weight and aggregate byte of seeded bundles; any change
@@ -231,3 +260,16 @@ class TestValidation:
         # (1, 0) is no optimum, yet an infinite floor would certify it.
         with pytest.raises(MinNormNonConvergence):
             solve_min_norm(bundle_of([[1e155, 1.0, -1.0], [0.0, 0.0, 0.0]]))
+
+    def test_a_nan_affine_weight_raises_nonconvergence(self, monkeypatch):
+        # A NaN weight is neither > 0 nor <= 0, so no vertex qualifies for
+        # the minor cycle; that is the solver's failure, not a bare ValueError.
+        real = minnorm._affine_solve
+
+        def nan_last_weight(P, corral):
+            v, point = real(P, corral)
+            return v[:-1] + [float("nan")], point
+
+        monkeypatch.setattr(minnorm, "_affine_solve", nan_last_weight)
+        with pytest.raises(MinNormNonConvergence, match="NaN"):
+            solve_min_norm(bundle_of([[1.0, -1.0]]))

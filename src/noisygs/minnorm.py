@@ -13,13 +13,14 @@ theta = min w_i / (w_i - v_i) over the v_i <= 0 (a term is 0 when w_i <= 0),
 drops the vertex attaining it (lowest index on ties) and solves again.
 Termination is certified, not assumed: the returned point g satisfies
 min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2) over all columns c_i,
-subject to a floor of a few machine epsilons times the largest squared column
-norm, which is the resolution the certificate can be evaluated to at all. The
-floor matters when the hull of large gradients contains the origin: the
-optimum is then exactly zero, and no float64 combination of 1e3-scale columns
-can cancel below roughly 1e-13. If the aggregation stalls there anyway (the
-most violating column is already in the corral) and the corral's affine hull
-is all of R^n, the exact optimum is zero and it is returned as such.
+with the slack floored at _FLOOR_FACTOR * eps * max|c|^2 (eps the machine
+epsilon). The floor is the resolution the certificate can be evaluated to
+at all. g sums several columns, so its components carry absolute error of
+order eps * max|c|, and g.c_i and |g|^2 carry error of order
+eps * max|c|^2. A tighter slack asks the loop for digits the arithmetic
+does not have: when the hull of large gradients holds or nearly holds the
+origin it stalls (the most violating column is already in the corral) or
+cycles until the cap, and the run ends in QPFailure.
 
 The corral holds a handful of columns, so its weights are kept as a list of
 Python floats: per-cycle NumPy calls on arrays that small cost more than
@@ -38,6 +39,9 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
+
+# Multiple of eps * max|c|^2 below which the certificate's slack is roundoff.
+_FLOOR_FACTOR = 8.0
 
 
 class MinNormNonConvergence(RuntimeError):
@@ -131,11 +135,10 @@ def _affine_solve(P: np.ndarray, corral: list) -> tuple[list, np.ndarray]:
 
 
 def _min_norm_weights(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, c = P.shape
+    c = P.shape[1]
     cap = 50 * c
     sq = np.einsum("ij,ij->j", P, P)
-    # Below this slack the certificate is fp noise, not information.
-    floor = 4.0 * _EPS * float(sq.max())
+    floor = _FLOOR_FACTOR * _EPS * float(sq.max())
     if floor == np.inf:
         # An infinite floor would certify any point; overflowing differences
         # would also reach lstsq, whose LAPACK call prints to stdout.
@@ -152,15 +155,7 @@ def _min_norm_weights(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if scores[j] >= xx - max(DEFAULT_TOL * (1.0 + xx), floor):
             break
         if j in corral:
-            # The most violating column is already in the corral, so no
-            # further progress is possible. If the corral's affine hull is
-            # all of R^n, its min-norm point is exactly zero and x only
-            # missed the certificate by roundoff; otherwise this is a
-            # numerical dead end.
-            S = P[:, corral]
-            if len(corral) > n and np.linalg.matrix_rank(S[:, 1:] - S[:, :1]) == n:
-                x = np.zeros(n)
-                break
+            # No progress is possible, and appending j twice would drop weight.
             raise MinNormNonConvergence(
                 "min-norm aggregation stalled before reaching its certificate"
             )
@@ -195,12 +190,11 @@ def solve_min_norm(bundle: GradientBundle) -> QPSolution:
     """Aggregate a gradient bundle into its min-norm convex combination.
 
     The result meets the relative optimality certificate
-    min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2), floored at a few
-    machine epsilons times the largest squared column norm (see the module
-    notes). Raises MinNormNonConvergence when the certificate cannot be met
-    within 50 * c cycles, the most violating column is already in a corral
-    whose affine hull is not all of R^n (a stall), a squared column norm
-    overflows, or an affine solve fails.
+    min_i g.c_i >= |g|^2 - DEFAULT_TOL * (1 + |g|^2), floored at the
+    roundoff of g.c_i (see the module notes). Raises MinNormNonConvergence
+    when the certificate cannot be met within 50 * c cycles, the most
+    violating column is already in the corral (a stall), a squared column
+    norm overflows, or an affine solve fails.
     """
     weights, aggregate = _min_norm_weights(bundle.columns)
     return QPSolution(weights=weights, aggregate=aggregate)

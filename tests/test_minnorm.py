@@ -32,10 +32,12 @@ def certificate_violation(columns: np.ndarray, sol: QPSolution) -> float:
 
 
 def meets_solver_certificate(columns: np.ndarray, sol: QPSolution) -> bool:
-    """The solver's own test: relative slack DEFAULT_TOL, floored at 4 eps max|c|^2."""
+    """The solver's own test: relative slack DEFAULT_TOL, floored at the
+    solver's multiple of eps max|c|^2."""
     x = sol.aggregate
     xx = float(x @ x)
-    floor = 4.0 * np.finfo(float).eps * float(np.max(np.sum(columns * columns, axis=0)))
+    floor = (minnorm._FLOOR_FACTOR * np.finfo(float).eps
+             * float(np.max(np.sum(columns * columns, axis=0))))
     return certificate_violation(columns, sol) <= max(DEFAULT_TOL * (1.0 + xx), floor)
 
 
@@ -158,12 +160,11 @@ class TestCertificate:
         sol = solve_min_norm(bundle_of(cols))
         assert np.linalg.norm(sol.aggregate) <= 1e-4
 
-    def test_origin_inside_a_full_rank_corral_is_returned_exactly(self):
+    def test_origin_inside_a_full_rank_corral_certifies(self):
         # Iteration 5 of `run --eps-f 1e-4 --seed 7`: gradients from both
-        # sides of the rosenbrock kink. The lstsq point of the final corral
-        # has norm ~3e-13, just short of the certificate floor, and the most
-        # violating column is already in the corral. The corral spans R^2,
-        # so zero is the exact optimum.
+        # sides of the rosenbrock kink, whose hull holds the origin. The
+        # lstsq point of the final corral, of norm ~3.6e-13, is within the
+        # roundoff floor of the certificate.
         cols = np.array([
             [-283.0934334800084, 274.6901804246911, -312.09270545317247, 242.69410592774156,
              -274.1465184363168, -318.46110249195686, 262.52708271064563, 256.45925600128635,
@@ -172,11 +173,38 @@ class TestCertificate:
              -99.99902691023051, -99.99195053751339, 100.0055615593983, 100.00059678897223,
              -99.99461044569269, -100.00905005435784, 100.00072920549235]])
         sol = solve_min_norm(bundle_of(cols))
-        assert np.array_equal(sol.aggregate, np.zeros(2))
+        assert meets_solver_certificate(cols, sol)
+        assert np.linalg.norm(sol.aggregate) <= 1e-12
         assert np.all(sol.weights >= 0.0)
         assert abs(sol.weights.sum() - 1.0) <= 1e-12
-        assert np.count_nonzero(sol.weights) == 3
-        assert np.linalg.norm(cols @ sol.weights) <= 1e-9
+
+    def test_near_duplicate_kink_columns_certify_without_a_stall(self):
+        # Two near-antipodal directions at ~1e3 scale. Under a floor of
+        # 4 eps max|c|^2 the most violating column was already in the corral
+        # and the solve raised; the optimum has norm ~2.8e-7.
+        cols = np.array([
+            [-1031.6599524614028, 1031.6599514950633, -1031.6599488129455, -1031.659949912695],
+            [74.74973025114224, -74.7497327714626, 74.74973201387094, 74.74973175591415]])
+        sol = solve_min_norm(bundle_of(cols))
+        assert meets_solver_certificate(cols, sol)
+        assert np.linalg.norm(sol.aggregate) <= 1e-6
+        assert np.all(sol.weights >= 0.0)
+        assert abs(sol.weights.sum() - 1.0) <= 1e-12
+
+    def test_a_bundle_at_6e41_certifies_within_the_cycle_cap(self):
+        # The last of 24,525 wide-scale draws: a 3 x 7 bundle with entries up
+        # to 6.2e41. Under a floor of 4 eps max|c|^2 it cycled until the cap.
+        rng = np.random.default_rng(7)
+        for _ in range(24525):
+            n = int(rng.integers(1, 4))
+            c = int(rng.integers(2, 8))
+            e = rng.uniform(-150, 150)
+            cols = rng.normal(size=(n, c)) * 10.0 ** e
+        assert cols.shape == (3, 7)
+        sol = solve_min_norm(bundle_of(cols))
+        assert meets_solver_certificate(cols, sol)
+        assert np.all(sol.weights >= 0.0)
+        assert abs(sol.weights.sum() - 1.0) <= 1e-12
 
     def test_a_tiny_positive_affine_weight_is_kept(self):
         # The large column's affine weight is 5.4e-13. A zero threshold above
@@ -272,4 +300,15 @@ class TestValidation:
 
         monkeypatch.setattr(minnorm, "_affine_solve", nan_last_weight)
         with pytest.raises(MinNormNonConvergence, match="NaN"):
+            solve_min_norm(bundle_of([[1.0, -1.0]]))
+
+    def test_a_solve_that_makes_no_progress_raises_a_stall(self, monkeypatch):
+        # An affine solve that always returns the corral's current point
+        # leaves the most violating column violating after it joins the
+        # corral; adding it twice would drop weight, so the solver raises.
+        def frozen(P, corral):
+            return [1.0 / len(corral)] * len(corral), P[:, corral[0]].copy()
+
+        monkeypatch.setattr(minnorm, "_affine_solve", frozen)
+        with pytest.raises(MinNormNonConvergence, match="stalled"):
             solve_min_norm(bundle_of([[1.0, -1.0]]))

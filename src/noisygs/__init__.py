@@ -11,7 +11,7 @@ from .minnorm import GradientBundle, solve_min_norm
 from .oracle import NoiseBounds, OracleHandle, exact_oracle, wrap_with_uniform_noise
 from .problems import load_problem
 from .sampler import sample_ball
-from .solver import SolverParams, estimate_lipschitz, run, validate_params
+from .solver import SolverParams, run, validate_params
 from .stationarity import estimate_goldstein
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "OracleHandle",
     "SolverParams",
     "estimate_goldstein",
-    "estimate_lipschitz",
     "exact_oracle",
     "load_problem",
     "run",

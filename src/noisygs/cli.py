@@ -47,7 +47,6 @@ from .solver import (
     RunStatus,
     SolverParams,
     certify,
-    estimate_lipschitz,
     radius_reduced,
     resolve_eps_ls,
     resolve_m,
@@ -403,8 +402,6 @@ _REQUIRED_PARAM_KEYS = ("eps_f", "eps_g", "eps_ls", "theta", "gamma", "eta", "nu
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    if not (ns.min_step > 0.0):
-        raise ValueError("--min-step must be positive")
     run_dir = Path(ns.run_dir)
     meta_path = run_dir / "run.json"
     hist_path = run_dir / "history.csv"
@@ -430,17 +427,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         records = _parse_history(hist_path, run_params.nu, eps_g)
     except (OSError, ValueError, TypeError) as exc:
         raise _BadRunDir(f"cannot parse {hist_path}: {exc}") from exc
-    cert = certify(records, run_params, eps_ls, ns.min_step)
-    # Without a given constant, certify has already estimated it.
-    estimate = cert.lipschitz
-    if run_params.lipschitz is not None:
-        estimate = estimate_lipschitz(records, ns.min_step)
+    cert = certify(records, run_params, eps_ls)
     print(f"status: {meta.get('status', 'unknown')}")
     print(f"iterations: {len(records)}")
-    if estimate is None:
-        print("estimated lipschitz: unavailable (no qualifying steps)")
-    else:
-        print(f"estimated lipschitz: {_fmt_cell(estimate)}")
     if math.isfinite(cert.bound):
         print(f"terminal radius level: {_fmt_cell(cert.level)}")
         print(f"terminal bound: {_fmt_cell(cert.bound)}")
@@ -467,7 +456,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             eps = records[-1].eps_k if records else run_params.eps1
         estimate = estimate_goldstein(problem.oracle, np.asarray(final_x, dtype=float),
                                       eps, ns.goldstein,
-                                      master_seed=int(params["seed"]), stream_id=0)
+                                      master_seed=int(params["seed"]))
         print(f"goldstein estimate: {_fmt_cell(estimate.value)} "
               f"(radius {_fmt_cell(float(eps))}, {ns.goldstein} samples)")
     return EXIT_OK
@@ -584,8 +573,6 @@ def build_parser() -> _Parser:
 
     verify_p = subs.add_parser("verify", help="check a finished run directory")
     verify_p.add_argument("run_dir", help="directory holding history.csv and run.json")
-    verify_p.add_argument("--min-step", type=float, default=1e-9,
-                          help="shortest accepted step used for the Lipschitz estimate")
     verify_p.add_argument("--goldstein", type=int, default=None, metavar="N",
                           help="also estimate stationarity at final_x from N ball samples")
     verify_p.add_argument("--goldstein-eps", type=float, default=None,

@@ -186,21 +186,18 @@ class Certificate:
     """Terminal-bound check of a finished run.
 
     level: radius level below which the terminal aggregate-norm bound
-        applies; inf when no Lipschitz constant is known or estimable.
+        applies; inf when params.lipschitz is not stated.
     bound: the aggregate-norm bound (nu / theta) * level.
     witness: first k of a radius-reduced row with eps_k <= level and
         norm_g_tilde <= (nu / theta) * eps_k, or None.
     vacuous: level >= eps1. Every row has eps_k <= eps1, so the level
         condition then rules nothing out.
-    lipschitz: the constant the level was computed from, params.lipschitz
-        or the history's estimate; None when neither exists.
     """
 
     level: float
     bound: float
     witness: Optional[int]
     vacuous: bool
-    lipschitz: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -212,35 +209,6 @@ class RunResult:
     f_evals: int
     g_evals: int
     warnings: tuple[str, ...] = field(default_factory=tuple)
-
-
-def estimate_lipschitz(history: Sequence[IterateRecord],
-                       min_step: float = 1e-9) -> Optional[float]:
-    """Largest |value difference| / step length over the recorded steps.
-
-    Uses consecutive history rows with an accepted step. The step length is
-    alpha * norm_g_tilde, which equals the iterate displacement because the
-    direction is the negated aggregate. Steps shorter than min_step are
-    skipped: with noisy values the ratio diverges as the step shrinks.
-    The result is the largest secant slope along the accepted path, not a
-    Lipschitz bound for the sampled region: on rosenbrock it reads 240-520,
-    while bounding the gradient on the default start's sublevel set takes
-    4300.
-    Returns None when no step qualifies.
-    """
-    if not (min_step > 0.0):
-        raise ValueError("min_step must be positive")
-    best: Optional[float] = None
-    for prev, nxt in zip(history, history[1:]):
-        if prev.alpha <= 0.0:
-            continue
-        step = prev.alpha * prev.norm_g_tilde
-        if step < min_step:
-            continue
-        ratio = abs(nxt.f_tilde - prev.f_tilde) / step
-        if best is None or ratio > best:
-            best = ratio
-    return None if best is None else float(best)
 
 
 def terminal_bound_eps(params: SolverParams, eps_ls: float, lipschitz: float) -> float:
@@ -273,26 +241,23 @@ def step_cutoff(params: SolverParams, eps_k: float) -> float:
 
 
 def certify(history: Sequence[IterateRecord], params: SolverParams,
-            eps_ls: float, min_step: float = 1e-9) -> Certificate:
+            eps_ls: float) -> Certificate:
     """Check a run's history against the terminal bound.
 
-    Uses params.lipschitz when given, else estimate_lipschitz over the
-    history's accepted steps of length min_step or more.
+    The level needs params.lipschitz, a bound for the region the run
+    sampled; without it the level is inf and the certificate vacuous.
     """
-    lipschitz = params.lipschitz
-    if lipschitz is None:
-        lipschitz = estimate_lipschitz(history, min_step)
-    if lipschitz is None or not (params.eta > 0.0 and params.nu > 0.0):
+    if params.lipschitz is None or not (params.eta > 0.0 and params.nu > 0.0):
         level = math.inf
     else:
-        level = terminal_bound_eps(params, eps_ls, lipschitz)
+        level = terminal_bound_eps(params, eps_ls, params.lipschitz)
     scale = params.nu / params.theta if params.theta > 0.0 else math.inf
     witness = next((rec.k for rec in history
                     if rec.radius_reduced
                     and rec.eps_k <= level
                     and rec.norm_g_tilde <= scale * rec.eps_k), None)
     return Certificate(level=float(level), bound=float(scale * level), witness=witness,
-                       vacuous=level >= params.eps1, lipschitz=lipschitz)
+                       vacuous=level >= params.eps1)
 
 
 def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),

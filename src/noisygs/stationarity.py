@@ -26,12 +26,13 @@ class StationarityEstimate:
 
 
 def estimate_goldstein(oracle: OracleHandle, x, eps: float, num_samples: int,
-                       master_seed: int = 0, stream_id: int = 0) -> StationarityEstimate:
+                       master_seed: int = 0) -> StationarityEstimate:
     """Min-norm element of the hull of exact gradients sampled in a ball.
 
     Gradients are taken at x itself plus num_samples points drawn uniformly
-    in the radius-eps ball around x. The returned value is the norm of the
-    aggregated gradient and the witness is the aggregate itself.
+    in the radius-eps ball around x, on substream 0 of master_seed. The
+    returned value is the norm of the aggregated gradient and the witness
+    is the aggregate itself.
     """
     if oracle.truth_access is None:
         raise ValueError("stationarity estimation needs truth access")
@@ -44,7 +45,7 @@ def estimate_goldstein(oracle: OracleHandle, x, eps: float, num_samples: int,
     if num_samples < n + 1:
         raise ValueError(f"num_samples must be at least dims + 1 = {n + 1}")
 
-    points = np.vstack([x, sample_ball(x, eps, num_samples, master_seed, stream_id)])
+    points = np.vstack([x, sample_ball(x, eps, num_samples, master_seed, 0)])
     columns = np.ascontiguousarray(eval_rows(oracle.truth_access.g, points).T)
     sol = solve_min_norm(GradientBundle(columns=columns, center=x, radius=eps))
     return StationarityEstimate(value=float(np.linalg.norm(sol.aggregate)),

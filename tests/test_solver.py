@@ -1,5 +1,6 @@
 """Sampling loop end to end plus the admissibility and reporting helpers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from noisygs.solver import (
     RunStatus,
     SolverParams,
     certify,
-    estimate_lipschitz,
     radius_reduced,
     resolve_eps_ls,
     resolve_m,
@@ -339,37 +339,6 @@ class TestResolvers:
         assert resolve_eps_ls(0.5, 0.01) == 0.5
 
 
-class TestEstimateLipschitz:
-    def test_hand_computed_ratio(self):
-        hist = [record(1, alpha=1.0, norm=0.5, f_tilde=3.0),
-                record(2, f_tilde=1.0)]
-        assert estimate_lipschitz(hist) == 4.0
-
-    def test_linear_slope_recovered_exactly(self):
-        hist = [record(1, alpha=1.0, norm=3.0, f_tilde=9.0),
-                record(2, f_tilde=0.0)]
-        assert estimate_lipschitz(hist) == 3.0
-
-    def test_takes_the_largest_ratio(self):
-        hist = [record(1, alpha=1.0, norm=1.0, f_tilde=5.0),
-                record(2, alpha=0.5, norm=2.0, f_tilde=4.0),
-                record(3, f_tilde=0.0)]
-        assert estimate_lipschitz(hist) == 4.0
-
-    def test_short_steps_are_skipped(self):
-        hist = [record(1, alpha=1e-12, norm=1e-3, f_tilde=1.0),
-                record(2, f_tilde=0.0)]
-        assert estimate_lipschitz(hist) is None
-
-    def test_null_steps_alone_do_not_qualify(self):
-        hist = [record(1, reduced=True), record(2, reduced=True)]
-        assert estimate_lipschitz(hist) is None
-
-    def test_min_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            estimate_lipschitz([], min_step=0.0)
-
-
 class TestTerminalBound:
     def test_cube_root_regime(self):
         params = SolverParams(eta=1e-10, gamma=0.5, nu=1.0)
@@ -396,11 +365,12 @@ class TestRadiusReduced:
 
 
 class TestCertify:
-    NOISY = SolverParams(bounds=NoiseBounds(eps_f=1e-4, eps_g=1e-2), eps_ls=2.1e-4)
+    NOISY = SolverParams(bounds=NoiseBounds(eps_f=1e-4, eps_g=1e-2), eps_ls=2.1e-4,
+                         lipschitz=0.4)
 
     def steps(self, reduced):
         # Five rows at eps_k = 10 with |g| = 50 and alpha = 0.5: each step is
-        # 25 long and drops f by 10, so the Lipschitz estimate is 0.4.
+        # 25 long and drops f by 10, a secant slope of 0.4.
         return [record(k, eps_k=10.0, norm=50.0, alpha=0.5, f_tilde=60.0 - 10.0 * k,
                        reduced=reduced and k == 3)
                 for k in range(1, 6)]
@@ -429,7 +399,7 @@ class TestCertify:
     def test_vacuous_when_the_level_reaches_eps1(self):
         hist = self.steps(reduced=True)
         assert certify(hist, self.NOISY, eps_ls=2.1e-4).vacuous
-        wide = SolverParams(bounds=self.NOISY.bounds, eps1=1e3)
+        wide = dataclasses.replace(self.NOISY, eps1=1e3)
         assert not certify(hist, wide, eps_ls=2.1e-4).vacuous
 
     def test_stored_lipschitz_wins_over_the_estimate(self):
@@ -438,13 +408,13 @@ class TestCertify:
         level = (6.0 * 2.1e-4 * (1e3 + 1e-2) / (1e-10 * 0.5)) ** (1.0 / 3.0)
         assert cert.level == pytest.approx(level, rel=1e-12)
 
-    def test_steps_shorter_than_min_step_give_no_estimate(self):
-        # Every step is 25 long.
-        hist = self.steps(reduced=True)
-        assert certify(hist, self.NOISY, eps_ls=2.1e-4, min_step=25.0).lipschitz == 0.4
-        cert = certify(hist, self.NOISY, eps_ls=2.1e-4, min_step=25.5)
-        assert cert.lipschitz is None
-        assert math.isinf(cert.level) and cert.vacuous
+    def test_without_a_constant_the_level_is_infinite(self):
+        # The steps' secant slope does not stand in for the missing constant.
+        unstated = dataclasses.replace(self.NOISY, lipschitz=None)
+        cert = certify(self.steps(reduced=True), unstated, eps_ls=2.1e-4)
+        assert math.isinf(cert.level) and math.isinf(cert.bound)
+        assert cert.vacuous
+        assert cert.witness == 3
 
     def test_no_estimate_leaves_the_level_infinite(self):
         cert = certify([record(1, reduced=True)], SolverParams(), eps_ls=1e-12)

@@ -57,9 +57,9 @@ def test_witness_stays_in_the_sampled_hull():
 
 def test_same_seed_reproduces():
     a = estimate_goldstein(abs_oracle(), np.zeros(1), eps=0.1, num_samples=64,
-                           master_seed=5, stream_id=2)
+                           master_seed=5)
     b = estimate_goldstein(abs_oracle(), np.zeros(1), eps=0.1, num_samples=64,
-                           master_seed=5, stream_id=2)
+                           master_seed=5)
     assert a.value == b.value
     assert np.array_equal(a.witness, b.witness)
 

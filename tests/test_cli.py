@@ -305,7 +305,7 @@ class TestParser:
         "": "8cf9941deb4922aad2d8fcf2f5ff3b34fa2ed5923b87a1cb8308cce3f2bc0f71",
         "run": "1c0b9d8c5348e079bfdc379be9e7e8e5d9ed66267c14640205e35781dd86ee84",
         "sweep": "9212d9ff3853354b7988723191e75b316d8cd05c6354a25e430d88e992548383",
-        "verify": "f78db8914098f8cdf0a47ad2ee18bbe7b2c11dfb40d5c9c383b45de1ff92fc2f",
+        "verify": "7f5824a8fbc52a0cd0dbef6807555f8c8265f5771c6bb905a7a8bcaa19a6813d",
         "train": "52077eb42e6237fb83f2e64146dd725381c45b2c48d09937a3c2603cc9ad1b8f",
     }
 

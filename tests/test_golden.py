@@ -20,7 +20,7 @@ pytestmark = [
 RUN_DIGESTS = {
     "history.csv": "b84ac5d230d2d219055703f2487587f7ea0daad3415b7da10be48111f1fc16bc",
     "trajectory.csv": "d67c628df6243f511c056b5a8be3f4d02b97f1ef9facef2b48ef14c8afe9945f",
-    "run.json": "83c9994304bcba2787c956230fea6fb875a15345806cdef6dc5cee305a6a5e59",
+    "run.json": "bcd788805bec900c875abbe60e52de7361a502857dae465eabd8ec422cd6cded",
 }
 
 # `run --eps-f 1e-2 --lipschitz 5 --seed 3 --budget 300`: 294 of its 298 line
@@ -33,7 +33,7 @@ LIPSCHITZ_RUN_DIGESTS = {
 
 # stdout of `verify --goldstein 100` after `run --eps-f 1e-4 --seed 0 --budget
 # 3000`, a run that ends Stationary: the estimate's exact-gradient columns.
-GOLDSTEIN_VERIFY_DIGEST = "9c27d67d29cd1c08baf05a0b628b60279c4953d08d7adb9429f81e2dcc642485"
+GOLDSTEIN_VERIFY_DIGEST = "6afc081e22e362314c3a9e3da9d8b231f6913160334067e50173041d5c89da59"
 
 SWEEP_DIGEST = "85c37393f5d6003e2bbaed6ca61c7ecf79c7620b4edc4d4e23f0440f2a0e4976"
 
@@ -77,15 +77,15 @@ NOISY_RUNS = {
 NOISY_RUN_DIGESTS = {
     "max_linear_4": {
         "history.csv": "f211565032f6eb450244dd3dac7a497d67168afa539d077bdcec2a062357fbc2",
-        "run.json": "c3151cd190a83f5d512dee9317ab2f3072695f7ac46fe8f8ceba5a3afa54ccc9",
+        "run.json": "e08af397c18c604014da34e9b0d63880ed4c518515c339aa0f15c76539973da7",
     },
     "max_linear_9": {
         "history.csv": "5c1734e6505c99124fb4dd11f5e386e66cd87c84500fd3fb20b95857e3c0b135",
-        "run.json": "959542b4d04e16e058d39482a1a53a1df2e229ed2564ca2e053bef79ecf52415",
+        "run.json": "d69c686bfcc4edd62f9a2ac5de798cdf780bc2e449e6ff19433c248cefc4dcc4",
     },
     "abs_composite": {
         "history.csv": "64577c5b2ea0359ab7185d8064eb74c43c44e8a610b90c65112588e1f22fd7dc",
-        "run.json": "88b315149def4642797b0be5fc26ba7ab0d1342a87a2ec4262477342e29d0d7b",
+        "run.json": "11745b395f881ee9fee940fc909afa7cb207718a7d600f0630fe70f79d424dc8",
         "trajectory.csv": "af34eb90e737c1a70fc63ea0e654c0ab34084bb3fae972e2a9885f136b67de40",
     },
 }

@@ -43,7 +43,8 @@ class SolverParams:
     Defaults follow the practical configuration: tiny sufficient-decrease
     coefficient, halving backtracks, radius shrink factor 0.1, bundle size
     max(n + 1, 10), initial radius 10, and a step floor of 1e-20 instead of
-    the radius-scaled cutoff (supply `lipschitz` to switch the cutoff over).
+    the radius-scaled cutoff (supply `lipschitz` to switch the cutoff over;
+    `certify` also needs it for a finite terminal level).
 
     m: gradients drawn per iteration beyond the center; None resolves to
         max(n + 1, 10).

@@ -67,9 +67,6 @@ _STATUS_EXIT = {
     RunStatus.QP_FAILURE: EXIT_QP_FAILURE,
 }
 
-HISTORY_HEADER = ["k", "eps_k", "norm_g_tilde", "alpha", "backtracks", "f_tilde", "f_true"]
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage failures exit with code 64."""
 
@@ -123,6 +120,14 @@ def _float_list(v) -> list[float]:
 
 def _opt_str(v) -> Optional[str]:
     return None if v is None else str(v)
+
+
+# history.csv's columns in order: the IterateRecord field each one writes and
+# the converter _parse_history reads it back with. A blank f_true (a run with no
+# truth) reads as None; any other cell that is not a number is an error.
+HISTORY_COLUMNS = {"k": int, "eps_k": float, "norm_g_tilde": float, "alpha": float,
+                   "backtracks": int, "f_tilde": float,
+                   "f_true": lambda v: None if v == "" else float(v)}
 
 
 # The SolverParams fields the CLI exposes, in flag order, with their help
@@ -303,18 +308,13 @@ def _run_payload(problem_name: str, dims: int, params: SolverParams, noise_seed:
     }
 
 
-def _history_rows(result: RunResult):
-    for rec in result.history:
-        yield [rec.k, rec.eps_k, rec.norm_g_tilde, rec.alpha, rec.backtracks,
-               rec.f_tilde, rec.f_true]
-
-
 def _run_and_write(problem_name: str, problem: Problem, params: SolverParams,
                    noise_seed: int, out: Path) -> RunResult:
     noisy = problem.make_noisy(params.bounds, noise_seed)
     result = run(noisy, problem.spec.default_start, params)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "history.csv", HISTORY_HEADER, _history_rows(result))
+    _write_csv(out / "history.csv", list(HISTORY_COLUMNS),
+               ([getattr(rec, name) for name in HISTORY_COLUMNS] for rec in result.history))
     n = problem.oracle.dims
     if n <= TRAJECTORY_MAX_DIMS:
         header = ["k"] + [f"x{i + 1}" for i in range(n)]
@@ -378,23 +378,16 @@ def _parse_history(path: Path, nu: float, eps_g: float) -> list[IterateRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != HISTORY_HEADER:
+        if header != list(HISTORY_COLUMNS):
             raise ValueError(f"unexpected header {header!r}")
         records = []
         for row in reader:
-            if len(row) != len(HISTORY_HEADER):
-                raise ValueError(f"row has {len(row)} fields, expected {len(HISTORY_HEADER)}")
-            k = int(row[0])
-            eps_k = float(row[1])
-            norm_g = float(row[2])
-            alpha = float(row[3])
-            backtracks = int(row[4])
-            f_tilde = float(row[5])
-            f_true = float(row[6]) if row[6] != "" else None
-            records.append(IterateRecord(
-                k=k, eps_k=eps_k, norm_g_tilde=norm_g, alpha=alpha,
-                backtracks=backtracks, f_tilde=f_tilde, f_true=f_true,
-                radius_reduced=radius_reduced(norm_g, eps_k, nu, eps_g), x=None))
+            if len(row) != len(HISTORY_COLUMNS):
+                raise ValueError(f"row has {len(row)} fields, expected {len(HISTORY_COLUMNS)}")
+            cells = {name: convert(cell)
+                     for (name, convert), cell in zip(HISTORY_COLUMNS.items(), row)}
+            records.append(IterateRecord(**cells, radius_reduced=radius_reduced(
+                cells["norm_g_tilde"], cells["eps_k"], nu, eps_g)))
     return records
 
 
@@ -501,31 +494,30 @@ def cmd_train(ns: argparse.Namespace) -> int:
     worst = EXIT_OK
     for eps_ls, oracle, params in arms:
         truth = oracle.truth_access
-        # The solver observes each iteration right after recording its history row.
-        # Entries are (grad_norm, eps_g_k, batch), plus samples_cum when adaptive.
-        observed: list[tuple] = []
+        # One metrics row per iteration: k, the four metrics (the header's
+        # names), then batch, plus samples_cum when adaptive.
+        rows: list[tuple] = []
 
-        def observe(event, _truth=truth, _observed=observed, _meta=oracle.meta):
+        def observe(event, _truth=truth, _rows=rows, _meta=oracle.meta):
+            rec = event.record
             g_true = np.asarray(_truth.g(event.x), dtype=float)
-            entry = (float(np.linalg.norm(event.g_center)),
-                     float(np.linalg.norm(event.g_center - g_true)))
+            row = (rec.k, rec.f_true, float(np.linalg.norm(event.g_center)),
+                   abs(rec.f_tilde - rec.f_true),
+                   float(np.linalg.norm(event.g_center - g_true)))
             if mode == "adaptive":
-                entry += (adaptive_batch_eval(data, event.x, opts["eps_f"],
-                                              opts["noise_seed"], hidden)[2],
-                          int(_meta["samples_total"]))
+                row += (adaptive_batch_eval(data, event.x, opts["eps_f"],
+                                            opts["noise_seed"], hidden)[2],
+                        int(_meta["samples_total"]))
             else:
-                entry += (batch,)
-            _observed.append(entry)
+                row += (batch,)
+            _rows.append(row)
 
         result = run(oracle, w0, params, observer=observe)
         worst = max(worst, _STATUS_EXIT[result.status])
-        values = [(rec.f_true, grad_norm, abs(rec.f_tilde - rec.f_true), eps_g_k)
-                  for rec, (grad_norm, eps_g_k, *_) in zip(result.history, observed)]
-        averages = zip(*map(_moving_average, zip(*values)))
+        averages = zip(*map(_moving_average, zip(*(row[1:5] for row in rows))))
         metrics_path = out / f"train_eps_ls_{repr(float(eps_ls))}.csv"
         _write_csv(metrics_path, header,
-                   ((rec.k, *row, *avg, *entry[2:]) for rec, row, avg, entry
-                    in zip(result.history, values, averages, observed)))
+                   ((*row[:5], *avg, *row[5:]) for row, avg in zip(rows, averages)))
         final_acc = accuracy(data, result.final_x, hidden)
         final_f = float(truth.f(result.final_x))
         summary_rows.append([float(eps_ls), final_acc, final_f, len(result.history),

@@ -46,14 +46,13 @@ def backtrack(oracle, x, direction, f_at_x: float, gamma: float, eta: float,
         raise ValueError("direction must be nonzero")
     if not (0.0 < gamma < 1.0 and min_step > 0.0):
         raise ValueError("backtracking needs 0 < gamma < 1 and min_step > 0")
-    trials = 0
-    j = 0
+    eval_f = oracle.eval_f
+    j = 0  # trials so far; the next one tries gamma^j
     while True:
         step = gamma ** j
         if step < min_step:
-            return LineSearchOutcome(alpha=0.0, trial_count=trials, accepted_f=None)
-        trial_f = float(oracle.eval_f(x + step * d))
-        trials += 1
-        if trial_f < f_at_x - eta * step * dd + eps_ls and trial_f <= f1_cap:
-            return LineSearchOutcome(alpha=step, trial_count=trials, accepted_f=trial_f)
+            return LineSearchOutcome(alpha=0.0, trial_count=j, accepted_f=None)
+        trial_f = float(eval_f(x + step * d))
         j += 1
+        if trial_f < f_at_x - eta * step * dd + eps_ls and trial_f <= f1_cap:
+            return LineSearchOutcome(alpha=step, trial_count=j, accepted_f=trial_f)

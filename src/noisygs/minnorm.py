@@ -32,6 +32,7 @@ pairwise from 8), so both forms give the same bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +75,11 @@ class GradientBundle:
             raise ValueError("bundle needs a 2d (n, c) column matrix with c >= 2")
         if center.shape != (cols.shape[0],):
             raise ValueError("center dimension does not match the columns")
-        if not np.all(np.isfinite(cols)):
+        if not np.isfinite(cols).all():
             raise ValueError("bundle columns must be finite")
-        if not np.all(np.isfinite(center)):
+        if not np.isfinite(center).all():
             raise ValueError("bundle center must be finite")
-        if not (np.isfinite(self.radius) and self.radius > 0.0):
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("bundle radius must be positive")
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "center", center)

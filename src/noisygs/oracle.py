@@ -17,6 +17,7 @@ points) to its closed ball.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -109,6 +110,7 @@ def _canonical_bytes(x) -> bytes:
     return (np.asarray(x, dtype=np.float64) + 0.0).astype("<f8", copy=False).tobytes()
 
 
+@functools.lru_cache(maxsize=64)
 def _key_suffix(seed: int, tag: bytes) -> bytes:
     # A key is the canonical bytes of the point followed by this suffix.
     return b"|" + tag + b"|" + str(int(seed)).encode()
@@ -218,7 +220,7 @@ def clamp_ball(value: Array, anchor: Array, radius: float) -> Array:
     radius. A row still outside (one ulp of the anchor can exceed the radius)
     becomes its anchor. value itself comes back when no row lies outside.
     """
-    rows = np.atleast_2d(value)
+    rows = value if isinstance(value, np.ndarray) and value.ndim == 2 else np.atleast_2d(value)
     out = rows
     for pull in range(5):
         delta = out - anchor
@@ -246,7 +248,7 @@ def _row_norms(delta: Array, radius: float) -> Array:
     unscaled has the same bytes scaled.
     """
     if 1e-140 < radius < 1e140:
-        return np.linalg.norm(delta, axis=-1)
+        return np.sqrt(np.add.reduce(delta * delta, axis=-1))  # np.linalg.norm's formula
     exponent = math.frexp(radius)[1]
     with np.errstate(over="ignore"):
         return np.ldexp(np.linalg.norm(np.ldexp(delta, -exponent), axis=-1), exponent)

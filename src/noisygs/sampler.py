@@ -8,6 +8,8 @@ shared generator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .oracle import clamp_ball
@@ -35,15 +37,15 @@ def sample_ball(center, radius: float, count: int, master_seed: int, stream_id: 
     center = np.asarray(center, dtype=float)
     if center.ndim != 1:
         raise ValueError("center must be a vector")
-    if not np.all(np.isfinite(center)):
+    if not np.isfinite(center).all():
         raise ValueError("center must be finite")
-    if not (np.isfinite(radius) and radius >= 0.0):
+    if not (math.isfinite(radius) and radius >= 0.0):
         raise ValueError("radius must be finite and nonnegative")
     if count < 1:
         raise ValueError("count must be at least 1")
     n = center.size
     directions = rng.standard_normal((count, n))
-    norms = np.linalg.norm(directions, axis=1)
+    norms = np.sqrt(np.add.reduce(directions * directions, axis=1))
     norms[norms == 0.0] = 1.0
     radii = radius * rng.random(count) ** (1.0 / n)
     return clamp_ball(center + directions * (radii / norms)[:, None], center, radius)

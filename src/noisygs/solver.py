@@ -168,18 +168,15 @@ class IterateRecord:
 class IterationEvent:
     """Read-only per-iteration snapshot handed to an observer callback.
 
-    Observers must not call the run's noisy oracle (stateful oracles would
-    advance); truth evaluators are safe. g_center is the raw noisy gradient
-    at the iterate, before aggregation.
+    record is the IterateRecord run appends to the history, x a copy of the
+    iterate at any dimension, and g_center the raw noisy gradient at the
+    iterate, before aggregation. Observers must not call the run's noisy
+    oracle (stateful oracles would advance); truth evaluators are safe.
     """
 
-    k: int
+    record: IterateRecord
     x: np.ndarray
-    eps_k: float
     g_center: np.ndarray
-    norm_g_tilde: float
-    alpha: float
-    f_tilde: float
 
 
 @dataclass(frozen=True)
@@ -307,21 +304,24 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
     eps = float(params.eps1)
     history: list[IterateRecord] = []
     status = RunStatus.BUDGET_EXHAUSTED
+    stack = np.empty((m + 1, n))  # the iterate, then its m sampled points
 
     for k in range(1, params.budget + 1):
         if f_x < params.f_low:
             status = RunStatus.OBJECTIVE_DIVERGING
             break
-        points = sample_ball(x, eps, m, params.master_seed, k)
+        stack[0] = x
+        stack[1:] = sample_ball(x, eps, m, params.master_seed, k)
         columns = np.empty((n, m + 1))
-        columns[:] = oracle.eval_g_many(np.vstack([x, points])).T
+        columns[:] = oracle.eval_g_many(stack).T
         g_evals += m + 1
         try:
             sol = solve_min_norm(GradientBundle(columns=columns, center=x, radius=eps))
         except MinNormNonConvergence:
             status = RunStatus.QP_FAILURE
             break
-        gnorm = float(np.linalg.norm(sol.aggregate))
+        agg = sol.aggregate
+        gnorm = math.sqrt(float(agg @ agg))
         reduced = radius_reduced(gnorm, eps, params.nu, eps_g)
         if reduced:
             alpha = 0.0
@@ -329,7 +329,7 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
             eps_next = params.theta * eps
             x_next, f_next = x, f_x
         else:
-            direction = -sol.aggregate
+            direction = -agg
             outcome = backtrack(oracle, x, direction, f_x, params.gamma, params.eta,
                                 eps_ls, f1_cap, step_cutoff(params, eps))
             alpha = outcome.alpha
@@ -341,15 +341,14 @@ def run(oracle: OracleHandle, x0, params: SolverParams = SolverParams(),
                 f_next = float(outcome.accepted_f)
             else:
                 x_next, f_next = x, f_x
-        history.append(IterateRecord(
+        record = IterateRecord(
             k=k, eps_k=eps, norm_g_tilde=gnorm, alpha=alpha, backtracks=backtracks,
             f_tilde=f_x, f_true=float(truth_f(x)) if truth_f is not None else None,
             radius_reduced=reduced, x=x.copy() if small else None,
-        ))
+        )
+        history.append(record)
         if observer is not None:
-            observer(IterationEvent(k=k, x=x.copy(), eps_k=eps,
-                                    g_center=columns[:, 0].copy(),
-                                    norm_g_tilde=gnorm, alpha=alpha, f_tilde=f_x))
+            observer(IterationEvent(record=record, x=x.copy(), g_center=columns[:, 0].copy()))
         x, f_x, eps = x_next, f_next, eps_next
         if reduced and eps <= params.eps_min:
             status = RunStatus.STATIONARY

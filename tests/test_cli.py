@@ -367,14 +367,22 @@ class TestVerify:
         assert call("verify", empty) == 65
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_garbled_history_header_exits_sixty_five(self, stationary_dir, tmp_path):
+    @pytest.mark.parametrize("line,edit", [
+        (0, lambda cells: ["wrong", "header"]),
+        (1, lambda cells: cells[:-1]),
+        (1, lambda cells: [cells[0], "wide", *cells[2:]]),
+        (1, lambda cells: [*cells[:-1], "none"]),
+    ], ids=["wrong_header", "row_one_field_short", "non_numeric_eps_k", "f_true_none"])
+    def test_garbled_history_header_exits_sixty_five(self, line, edit, stationary_dir,
+                                                     tmp_path, capsys):
         broken = tmp_path / "broken"
         broken.mkdir()
         (broken / "run.json").write_bytes((stationary_dir / "run.json").read_bytes())
         lines = (stationary_dir / "history.csv").read_text().splitlines()
-        lines[0] = "wrong,header"
+        lines[line] = ",".join(edit(lines[line].split(",")))
         (broken / "history.csv").write_text("\n".join(lines) + "\n")
         assert call("verify", broken) == 65
+        assert "cannot parse" in capsys.readouterr().err
 
     def test_incomplete_run_json_exits_sixty_five(self, stationary_dir, tmp_path):
         broken = tmp_path / "broken"

@@ -263,11 +263,7 @@ class TestObserver:
         res = run(abs_oracle(), np.array([5.0]), params, observer=events.append)
         assert len(events) == len(res.history)
         for ev, rec_ in zip(events, res.history):
-            assert ev.k == rec_.k
-            assert ev.eps_k == rec_.eps_k
-            assert ev.alpha == rec_.alpha
-            assert ev.f_tilde == rec_.f_tilde
-            assert ev.norm_g_tilde == rec_.norm_g_tilde
+            assert ev.record is rec_
             assert np.array_equal(ev.x, rec_.x)
             assert ev.g_center.shape == (1,)
 
